@@ -23,7 +23,6 @@ import numpy as np
 from . import access, fbl, framesync, mimo, multiconn, ratesel
 from .scenario import (
     Field,
-    ScenarioError,
     apply_schema,
     bool_field,
     choice_field,
@@ -48,45 +47,6 @@ class _Parser(argparse.ArgumentParser):
     # infeasible results here, so route errors through an exception
     def error(self, message):
         raise _CliError(message)
-
-
-def _pos_int(s: str) -> int:
-    v = int(s)
-    if v < 1:
-        raise ValueError("must be >= 1")
-    return v
-
-
-def _nonneg_int(s: str) -> int:
-    v = int(s)
-    if v < 0:
-        raise ValueError("must be >= 0")
-    return v
-
-
-def _pos_float(s: str) -> float:
-    v = float(s)
-    if not v > 0:
-        raise ValueError("must be > 0")
-    return v
-
-
-def _prob(s: str) -> float:
-    v = float(s)
-    if not 0.0 <= v <= 1.0:
-        raise ValueError("must be in [0, 1]")
-    return v
-
-
-def _prob_open(s: str) -> float:
-    v = float(s)
-    if not 0.0 < v < 1.0:
-        raise ValueError("must be in (0, 1)")
-    return v
-
-
-def _int_list(s: str) -> tuple:
-    return tuple(_pos_int(p.strip()) for p in s.split(",") if p.strip())
 
 
 def _fmt(v) -> str:
@@ -215,12 +175,6 @@ def _cmd_framesync_sweep(args, argv) -> int:
 
 # ---- mimo ------------------------------------------------------------------
 
-def _method_name(s: str) -> str:
-    if s not in mimo.METHODS:
-        raise ValueError(f"must be one of {mimo.METHODS}, got {s!r}")
-    return s
-
-
 _MIMO_SCHEMA = {
     "tx_antennas": Field(int_field(1), 100),
     "rx_antennas": Field(int_field(1), 1),
@@ -235,7 +189,7 @@ _MIMO_SCHEMA = {
     "multiplexing": Field(choice_field(("space", "time")), "space"),
     "payload_bits": Field(int_field(1), 100),
     "slots": Field(int_field(1), 10),
-    "methods": Field(list_field(_method_name), tuple(mimo.METHODS)),
+    "methods": Field(list_field(choice_field(mimo.METHODS)), tuple(mimo.METHODS)),
     "angle_seed": Field(int_field(0), 1),
     "estimation_noise_std": Field(float_field(0.0), 0.0),
 }
@@ -298,8 +252,6 @@ def _cmd_multiconn_sweep(args, argv) -> int:
               for rl, rc in zip(args.link_rels, args.core_rels)),
         r_far=args.far_rel,
     )
-    if not 0 <= args.vary_interface < len(chain.interfaces):
-        raise _CliError("--vary-interface out of range")
     grid = np.geomspace(args.outage_min, args.outage_max, args.grid_points)
     rows = multiconn.outage_sweep(chain, grid, archs=args.archs,
                                   vary_index=args.vary_interface)
@@ -342,48 +294,13 @@ def _cmd_ratesel_sweep(args, argv) -> int:
 
 # ---- wiring ----------------------------------------------------------------
 
-def _constraint_list(s: str) -> tuple:
-    out = []
-    for p in s.split(","):
-        p = p.strip()
-        if not p:
-            continue
-        if p not in ("ar", "pcr"):
-            raise ValueError(f"constraints must be ar or pcr, got {p!r}")
-        out.append(p)
-    if not out:
-        raise ValueError("empty constraint list")
-    return tuple(out)
-
-
-def _arch_list(s: str) -> tuple:
-    out = []
-    for p in s.split(","):
-        p = p.strip()
-        if not p:
-            continue
-        if p not in multiconn.ARCHITECTURES:
-            raise ValueError(f"arch must be one of {multiconn.ARCHITECTURES}")
-        out.append(p)
-    if not out:
-        raise ValueError("empty arch list")
-    return tuple(out)
-
-
-def _float_list(s: str) -> tuple:
-    vals = tuple(float(p.strip()) for p in s.split(",") if p.strip())
-    if not vals:
-        raise ValueError("empty list")
-    return vals
-
-
 def _build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=_nonneg_int, default=0,
+    common.add_argument("--seed", type=int_field(0), default=0,
                         help="master seed for every random stream (default 0)")
-    common.add_argument("--trials", type=_pos_int, default=100_000,
+    common.add_argument("--trials", type=int_field(1), default=100_000,
                         help="Monte-Carlo trial count where applicable")
-    common.add_argument("--workers", type=_pos_int, default=1,
+    common.add_argument("--workers", type=int_field(1), default=1,
                         help="Monte-Carlo fan-out; never changes results")
     outp = argparse.ArgumentParser(add_help=False)
     outp.add_argument("--out", required=True, help="output CSV path")
@@ -399,26 +316,27 @@ def _build_parser() -> _Parser:
                            help="minimum bandwidth vs reference SNR")
     p.add_argument("--gamma0-db-min", type=float, default=5.0)
     p.add_argument("--gamma0-db-max", type=float, default=40.0)
-    p.add_argument("--points", type=_pos_int, default=20)
-    p.add_argument("--b0-hz", type=_pos_float, default=1e5)
-    p.add_argument("--latency-s", type=_pos_float, default=1e-3)
-    p.add_argument("--data-bytes", type=_pos_int, default=16)
-    p.add_argument("--metadata-bytes", type=_nonneg_int, default=16)
-    p.add_argument("--eps", type=_prob_open, default=1e-5)
+    p.add_argument("--points", type=int_field(1), default=20)
+    p.add_argument("--b0-hz", type=float_field(0.0, strict=True), default=1e5)
+    p.add_argument("--latency-s", type=float_field(0.0, strict=True), default=1e-3)
+    p.add_argument("--data-bytes", type=int_field(1), default=16)
+    p.add_argument("--metadata-bytes", type=int_field(0), default=16)
+    p.add_argument("--eps", type=float_field(0.0, 1.0, strict=True), default=1e-5)
     p.set_defaults(handler=_cmd_fbl_sweep)
 
     p = sub.add_parser("access", parents=[common],
                        help="access-scheme error budget")
     p.add_argument("--scheme", required=True, choices=access.SCHEMES)
-    p.add_argument("--eps-sync", type=_prob, default=0.0)
-    p.add_argument("--eps-request", type=_prob, default=0.0)
-    p.add_argument("--eps-grant", type=_prob, default=0.0)
-    p.add_argument("--eps-data", type=_prob, default=0.0)
-    p.add_argument("--eps-ack", type=_prob, default=0.0)
+    p.add_argument("--eps-sync", type=float_field(0.0, 1.0), default=0.0)
+    p.add_argument("--eps-request", type=float_field(0.0, 1.0), default=0.0)
+    p.add_argument("--eps-grant", type=float_field(0.0, 1.0), default=0.0)
+    p.add_argument("--eps-data", type=float_field(0.0, 1.0), default=0.0)
+    p.add_argument("--eps-ack", type=float_field(0.0, 1.0), default=0.0)
     p.add_argument("--out", help="write JSON here instead of stdout")
     p.add_argument("--cdf-out", help="also write the latency-CDF staircase CSV")
-    p.add_argument("--attempt-latency-s", type=_pos_float, default=1e-3)
-    p.add_argument("--max-attempts", type=_pos_int, default=10)
+    p.add_argument("--attempt-latency-s", type=float_field(0.0, strict=True),
+                   default=1e-3)
+    p.add_argument("--max-attempts", type=int_field(1), default=10)
     p.set_defaults(handler=_cmd_access)
 
     fsp = sub.add_parser("framesync", help="marker self-reproduction bounds")
@@ -426,13 +344,14 @@ def _build_parser() -> _Parser:
                                 parser_class=_Parser)
     p = fs_sub.add_parser("sweep", parents=[common, outp],
                           help="sync bound vs marker length")
-    p.add_argument("--nm-min", type=_pos_int, default=16)
-    p.add_argument("--nm-max", type=_pos_int, default=32)
-    p.add_argument("--payload-bits", type=_nonneg_int, default=256)
-    p.add_argument("--list-lengths", type=_int_list, default=(1, 2, 4, 8))
-    p.add_argument("--budget", type=_pos_int, default=400,
+    p.add_argument("--nm-min", type=int_field(1), default=16)
+    p.add_argument("--nm-max", type=int_field(1), default=32)
+    p.add_argument("--payload-bits", type=int_field(0), default=256)
+    p.add_argument("--list-lengths", type=list_field(int_field(1)),
+                   default=(1, 2, 4, 8))
+    p.add_argument("--budget", type=int_field(1), default=400,
                    help="marker-search evaluation budget per length")
-    p.add_argument("--count-cap", type=_pos_int, default=32)
+    p.add_argument("--count-cap", type=int_field(1), default=32)
     p.set_defaults(handler=_cmd_framesync_sweep)
 
     p = sub.add_parser("mimo", parents=[common, outp],
@@ -448,16 +367,17 @@ def _build_parser() -> _Parser:
                                 parser_class=_Parser)
     p = mc_sub.add_parser("sweep", parents=[common, outp],
                           help="end-to-end outage vs link outage")
-    p.add_argument("--link-rels", type=_float_list, default=(0.99, 0.9))
-    p.add_argument("--core-rels", type=_float_list, default=(0.999, 0.99))
-    p.add_argument("--far-rel", type=_prob, default=0.9999)
-    p.add_argument("--outage-min", type=_pos_float, default=1e-4)
+    p.add_argument("--link-rels", type=list_field(float), default=(0.99, 0.9))
+    p.add_argument("--core-rels", type=list_field(float), default=(0.999, 0.99))
+    p.add_argument("--far-rel", type=float_field(0.0, 1.0), default=0.9999)
+    p.add_argument("--outage-min", type=float_field(0.0, strict=True), default=1e-4)
     # beyond ~10% link outage an unequal-core chain can invert the
     # dc/ifd ordering; the default stays in the regime of interest
-    p.add_argument("--outage-max", type=_pos_float, default=0.05)
-    p.add_argument("--grid-points", type=_pos_int, default=50)
-    p.add_argument("--vary-interface", type=_nonneg_int, default=0)
-    p.add_argument("--archs", type=_arch_list, default=multiconn.ARCHITECTURES)
+    p.add_argument("--outage-max", type=float_field(0.0, strict=True), default=0.05)
+    p.add_argument("--grid-points", type=int_field(1), default=50)
+    p.add_argument("--vary-interface", type=int_field(0), default=0)
+    p.add_argument("--archs", type=list_field(choice_field(multiconn.ARCHITECTURES)),
+                   default=multiconn.ARCHITECTURES)
     p.set_defaults(handler=_cmd_multiconn_sweep)
 
     rsp = sub.add_parser("ratesel", help="statistical rate selection")
@@ -465,11 +385,13 @@ def _build_parser() -> _Parser:
                                 parser_class=_Parser)
     p = rs_sub.add_parser("sweep", parents=[common, outp],
                           help="throughput ratio vs training length")
-    p.add_argument("--theta", type=_pos_float, default=10.0)
-    p.add_argument("--eps", type=_prob_open, default=1e-3)
-    p.add_argument("--xi", type=_prob_open, default=1e-3)
-    p.add_argument("--n-values", type=_int_list, default=(10, 100, 1000, 10000))
-    p.add_argument("--constraints", type=_constraint_list, default=("ar", "pcr"))
+    p.add_argument("--theta", type=float_field(0.0, strict=True), default=10.0)
+    p.add_argument("--eps", type=float_field(0.0, 1.0, strict=True), default=1e-3)
+    p.add_argument("--xi", type=float_field(0.0, 1.0, strict=True), default=1e-3)
+    p.add_argument("--n-values", type=list_field(int_field(1)),
+                   default=(10, 100, 1000, 10000))
+    p.add_argument("--constraints", type=list_field(choice_field(("ar", "pcr"))),
+                   default=("ar", "pcr"))
     p.set_defaults(handler=_cmd_ratesel_sweep)
 
     return top
@@ -487,10 +409,7 @@ def run(argv=None) -> int:
         return 0 if exc.code in (0, None) else EXIT_USAGE
     try:
         return args.handler(args, argv)
-    except (_CliError, ScenarioError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (_CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -283,8 +283,7 @@ def empirical_covariance(spec: ClusterChannelSpec, terminal: int,
     def block_fn(rng, start, count):
         h = draw_channels(spec, terminal, count, rng)
         r_tx = np.einsum("kij,kil->jl", h.conj(), h)
-        r_rx = np.einsum("kij,klj->kil", h, h.conj()).sum(axis=0) \
-            if spec.rx_antennas > 1 else np.einsum("kij,kij->", h, h.conj()).reshape(1, 1)
+        r_rx = np.einsum("kij,klj->il", h, h.conj())
         return r_tx, r_rx
 
     stream = SeededStream(mc.master_seed).derive(_EVAL_TAG, terminal, 1)

@@ -111,7 +111,7 @@ def ar_epsilon(n: int, eps: float) -> float:
         raise ValueError("n must be >= 1")
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must be in (0, 1)")
-    return -math.expm1(-n * ((1.0 - eps) ** (-1.0 / n) - 1.0))
+    return -math.expm1(-n * math.expm1(-math.log1p(-eps) / n))
 
 
 def ar_outage_sup(n: int, eps_n: float) -> float:
@@ -124,7 +124,7 @@ def ar_outage_sup(n: int, eps_n: float) -> float:
         raise ValueError("n must be >= 1")
     if not 0.0 < eps_n < 1.0:
         raise ValueError("eps_n must be in (0, 1)")
-    return 1.0 - (1.0 - math.log1p(-eps_n) / n) ** (-n)
+    return -math.expm1(-n * math.log1p(-math.log1p(-eps_n) / n))
 
 
 def pcr_epsilon(n: int, eps: float, xi: float) -> float:

@@ -11,12 +11,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional
 
-from .simcore import MonteCarloConfig
-
 __all__ = [
     "ScenarioError",
     "Field",
-    "Scenario",
     "parse_kv_text",
     "parse_kv_file",
     "apply_schema",
@@ -33,16 +30,6 @@ class Field:
 
     convert: Callable[[str], object]
     default: object
-
-
-@dataclass(frozen=True)
-class Scenario:
-    """A parsed run request: which module, with what parameters, to where."""
-
-    module: str
-    params: dict
-    out: Optional[str]
-    mc: MonteCarloConfig
 
 
 def parse_kv_text(text: str, source: str = "<scenario>") -> dict:
@@ -90,49 +77,52 @@ def apply_schema(raw: dict, schema: dict, source: str = "<scenario>") -> dict:
 
 
 # ---- converter factories ----------------------------------------------------
+# The CLI passes these to argparse as type=, which reports a rejected value
+# by the converter's __name__, hence the descriptive inner function names.
 
 def int_field(lo: Optional[int] = None, hi: Optional[int] = None):
-    def convert(s: str) -> int:
+    def int_in_range(s: str) -> int:
         v = int(s)
         if lo is not None and v < lo:
             raise ValueError(f"must be >= {lo}, got {v}")
         if hi is not None and v > hi:
             raise ValueError(f"must be <= {hi}, got {v}")
         return v
-    return convert
+    return int_in_range
 
 
 def float_field(lo: Optional[float] = None, hi: Optional[float] = None,
-                open_lo: bool = False):
-    def convert(s: str) -> float:
+                strict: bool = False):
+    """Float in [lo, hi], or in (lo, hi) when strict.  NaN fails any bound."""
+    def float_in_range(s: str) -> float:
         v = float(s)
-        if lo is not None and (v <= lo if open_lo else v < lo):
-            raise ValueError(f"must be {'>' if open_lo else '>='} {lo}, got {v}")
-        if hi is not None and v > hi:
-            raise ValueError(f"must be <= {hi}, got {v}")
+        if lo is not None and not (v > lo if strict else v >= lo):
+            raise ValueError(f"must be {'>' if strict else '>='} {lo}, got {v}")
+        if hi is not None and not (v < hi if strict else v <= hi):
+            raise ValueError(f"must be {'<' if strict else '<='} {hi}, got {v}")
         return v
-    return convert
+    return float_in_range
 
 
 def choice_field(options):
     opts = tuple(options)
 
-    def convert(s: str) -> str:
+    def one_of(s: str) -> str:
         if s not in opts:
             raise ValueError(f"must be one of {opts}, got {s!r}")
         return s
-    return convert
+    return one_of
 
 
 def list_field(item_convert: Callable[[str], object], length: Optional[int] = None):
-    def convert(s: str):
+    def comma_list(s: str):
         parts = [p.strip() for p in s.split(",") if p.strip()]
         if not parts:
             raise ValueError("empty list")
         if length is not None and len(parts) != length:
             raise ValueError(f"expected {length} items, got {len(parts)}")
         return tuple(item_convert(p) for p in parts)
-    return convert
+    return comma_list
 
 
 def bool_field():

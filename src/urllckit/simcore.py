@@ -163,19 +163,12 @@ class MonteCarloConfig:
         return SeededStream(self.master_seed).derive(*indices)
 
 
-def run_monte_carlo(
-    trials: int,
-    block_size: int,
-    stream: SeededStream,
-    block_fn: Callable[[np.random.Generator, int, int], Sequence],
-    workers: int = 1,
-):
-    """Run block_fn over fixed-size trial blocks and reduce in block order.
+def _run_blocks(trials, block_size, stream, block_fn, workers):
+    """Call block_fn once per fixed-size trial block; partials in block order.
 
-    block_fn(rng, start, count) returns a tuple of accumulators (scalars or
-    arrays) that add across blocks.  The block layout depends only on
-    (trials, block_size) and each block owns a jumped substream, so the
-    reduced result is bit-identical for every worker count.
+    Block b covers trials [b*block_size, ...) and draws from
+    stream.block_generator(b), so the partials depend only on
+    (trials, block_size, stream), never on the worker count.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -192,19 +185,32 @@ def run_monte_carlo(
         return block_fn(stream.block_generator(b), start, count)
 
     if workers <= 1 or n_blocks == 1:
-        partials = [run_one(s) for s in spans]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(run_one, spans))
+        return [run_one(s) for s in spans]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(run_one, spans))
 
+
+def run_monte_carlo(
+    trials: int,
+    block_size: int,
+    stream: SeededStream,
+    block_fn: Callable[[np.random.Generator, int, int], Sequence],
+    workers: int = 1,
+):
+    """Run block_fn over fixed-size trial blocks and reduce in block order.
+
+    block_fn(rng, start, count) returns a tuple of accumulators (scalars or
+    arrays) that add across blocks.  The block layout depends only on
+    (trials, block_size) and each block owns a jumped substream, so the
+    reduced result is bit-identical for every worker count.
+    """
+    partials = _run_blocks(trials, block_size, stream, block_fn, workers)
     # stack per-slot accumulators and let numpy's pairwise sum reduce them
     # in block order, independent of completion order
-    first = partials[0]
-    reduced = []
-    for slot in range(len(first)):
-        stacked = np.stack([np.asarray(p[slot]) for p in partials])
-        reduced.append(stacked.sum(axis=0))
-    return tuple(reduced)
+    return tuple(
+        np.stack([np.asarray(p[slot]) for p in partials]).sum(axis=0)
+        for slot in range(len(partials[0]))
+    )
 
 
 def collect_monte_carlo(
@@ -216,30 +222,14 @@ def collect_monte_carlo(
 ):
     """Like run_monte_carlo, but block_fn returns per-trial sample arrays
     (leading axis = trials in the block), concatenated in block order."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if block_size < 1:
-        raise ValueError("block_size must be >= 1")
-    n_blocks = (trials + block_size - 1) // block_size
-    spans = [
-        (b, b * block_size, min(block_size, trials - b * block_size))
-        for b in range(n_blocks)
-    ]
-
-    def run_one(span):
-        b, start, count = span
-        out = block_fn(stream.block_generator(b), start, count)
+    def checked(rng, start, count):
+        out = block_fn(rng, start, count)
         for arr in out:
             if np.asarray(arr).shape[0] != count:
                 raise ValueError("block_fn must return per-trial arrays")
         return out
 
-    if workers <= 1 or n_blocks == 1:
-        partials = [run_one(s) for s in spans]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(run_one, spans))
-
+    partials = _run_blocks(trials, block_size, stream, checked, workers)
     return tuple(
         np.concatenate([np.asarray(p[slot]) for p in partials])
         for slot in range(len(partials[0]))

@@ -41,6 +41,29 @@ def test_invalid_value_rejected(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command,flag,value", [
+    ("fbl sweep", "--trials", "0"),
+    ("fbl sweep", "--seed", "-1"),
+    ("fbl sweep", "--eps", "0"),
+    ("fbl sweep", "--eps", "1"),
+    ("fbl sweep", "--eps", "nan"),
+    ("fbl sweep", "--b0-hz", "0"),
+    ("ratesel sweep", "--eps", "0"),
+    ("ratesel sweep", "--eps", "1"),
+    ("ratesel sweep", "--eps", "nan"),
+    ("ratesel sweep", "--xi", "1"),
+    ("ratesel sweep", "--constraints", "bogus"),
+    ("ratesel sweep", "--n-values", ""),
+    ("multiconn sweep", "--far-rel", "1.5"),
+    ("multiconn sweep", "--archs", "bogus"),
+])
+def test_out_of_range_flag_writes_nothing(tmp_path, capsys, command, flag, value):
+    out = tmp_path / "x.csv"
+    assert run([*command.split(), "--out", str(out), flag, value]) == EXIT_USAGE
+    assert not out.exists()
+    assert flag in capsys.readouterr().err
+
+
 def test_fbl_sweep_reports_infeasible_points(tmp_path, csv_body):
     out = tmp_path / "fbl.csv"
     # the default range starts at 5 dB where separate encoding cannot fit
@@ -237,6 +260,16 @@ def test_mimo_unknown_scenario_key(tmp_path, capsys):
         EXIT_USAGE
     assert not out.exists()
     assert "bogus" in capsys.readouterr().err
+
+
+def test_mimo_nan_scenario_value_writes_nothing(tmp_path, capsys):
+    scn = tmp_path / "scn.txt"
+    scn.write_text("spread_deg = nan\n")
+    out = tmp_path / "m.csv"
+    assert run(["mimo", "--scenario", str(scn), "--out", str(out),
+                "--trials", "100"]) == EXIT_USAGE
+    assert not out.exists()
+    assert "spread_deg" in capsys.readouterr().err
 
 
 def test_mimo_worker_invariant_body(tmp_path, csv_body):

@@ -29,6 +29,7 @@ _REFERENCE = {
         (1, 0.1, 0.10516068318563023),
         (4, 0.05, 0.050313719444326866),
         (10, 1e-3, 0.00100005000166212),
+        (10000, 1e-9, 1.0000000000000501e-9),
     ],
 }
 
@@ -70,7 +71,9 @@ def test_ml_estimate_is_sample_mean():
 
 @pytest.mark.parametrize("n,eps,expected", _REFERENCE["ar"])
 def test_ar_epsilon_reference(n, eps, expected):
-    assert ar_epsilon(n, eps) == pytest.approx(expected, rel=1e-12)
+    # abs=0: approx's default absolute tolerance of 1e-12 would swamp
+    # the relative check at eps = 1e-9
+    assert ar_epsilon(n, eps) == pytest.approx(expected, rel=1e-12, abs=0)
 
 
 def test_ar_epsilon_exceeds_target_and_decreases():
@@ -85,10 +88,10 @@ def test_ar_epsilon_exceeds_target_and_decreases():
 
 
 def test_ar_outage_sup_inverts_ar_epsilon():
-    for n in (1, 3, 7, 50):
-        for eps in (1e-4, 1e-2, 0.2):
+    for n in (1, 3, 7, 50, 10000):
+        for eps in (1e-9, 1e-4, 1e-2, 0.2):
             assert ar_outage_sup(n, ar_epsilon(n, eps)) == \
-                pytest.approx(eps, rel=1e-12)
+                pytest.approx(eps, rel=1e-12, abs=0)
     with pytest.raises(ValueError):
         ar_outage_sup(0, 0.1)
 

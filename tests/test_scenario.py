@@ -54,7 +54,7 @@ def test_parse_kv_file(tmp_path):
 
 _SCHEMA = {
     "count": Field(int_field(1, 10), 3),
-    "scale": Field(float_field(0.0, open_lo=True), 1.0),
+    "scale": Field(float_field(0.0, strict=True), 1.0),
     "mode": Field(choice_field(("a", "b")), "a"),
     "pair": Field(list_field(float, 2), (0.0, 1.0)),
     "flag": Field(bool_field(), False),
@@ -87,7 +87,7 @@ def test_int_field_bounds():
 
 
 def test_float_field_open_lower_bound():
-    conv = float_field(0.0, open_lo=True)
+    conv = float_field(0.0, strict=True)
     assert conv("0.5") == 0.5
     with pytest.raises(ValueError):
         conv("0.0")
@@ -95,6 +95,18 @@ def test_float_field_open_lower_bound():
     assert closed("0.0") == 0.0
     with pytest.raises(ValueError):
         float_field(0.0, 1.0)("1.5")
+
+
+def test_float_field_rejects_nan_and_strict_upper_bound():
+    for conv in (float_field(0.0), float_field(None, 1.0),
+                 float_field(0.0, 1.0, strict=True)):
+        with pytest.raises(ValueError):
+            conv("nan")
+    prob_open = float_field(0.0, 1.0, strict=True)
+    assert prob_open("0.5") == 0.5
+    with pytest.raises(ValueError):
+        prob_open("1.0")
+    assert float_field(0.0, 1.0)("1.0") == 1.0
 
 
 def test_choice_field():

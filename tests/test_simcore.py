@@ -198,10 +198,11 @@ def test_run_monte_carlo_array_accumulators():
 
 
 def test_run_monte_carlo_validation():
-    with pytest.raises(ValueError):
-        run_monte_carlo(0, 8, SeededStream(0), _sum_block)
-    with pytest.raises(ValueError):
-        run_monte_carlo(8, 0, SeededStream(0), _sum_block)
+    for runner in (run_monte_carlo, collect_monte_carlo):
+        with pytest.raises(ValueError):
+            runner(0, 8, SeededStream(0), _sum_block)
+        with pytest.raises(ValueError):
+            runner(8, 0, SeededStream(0), _sum_block)
 
 
 def _index_block(rng, start, count):
