@@ -7,7 +7,7 @@ Usage:
 from __future__ import annotations
 
 from urllckit.access import (AccessErrorProfile, RetransmissionModel,
-                             latency_cdf, scheme_error, scheme_steps, SCHEMES)
+                             scheme_error, scheme_steps, SCHEMES)
 
 # every step at the same per-message error
 PROFILE = AccessErrorProfile(eps_sync=1e-6, eps_request=1e-4, eps_grant=1e-4,
@@ -24,15 +24,13 @@ def main() -> None:
           "data transmission itself.")
 
     # four-step attempt error feeds the retry model
-    p_fail = scheme_error("four_step", PROFILE)
-    model = RetransmissionModel(p_attempt=1.0 - p_fail,
+    model = RetransmissionModel(eps_attempt=scheme_error("four_step", PROFILE),
                                 attempt_latency_s=1e-3, max_attempts=4)
-    cdf = latency_cdf(model)
     print(f"\nretries at {model.attempt_latency_s * 1e3:.0f} ms per attempt, "
           f"cap {model.max_attempts}:")
-    for t, r in zip(cdf.attempt_times, cdf.attempt_reliabilities):
+    for t, r in zip(model.attempt_times, model.attempt_reliabilities):
         print(f"  by {t * 1e3:4.0f} ms: reliability {r:.9f}")
-    print(f"  residual error after the cap: {cdf.residual_error:.3e}")
+    print(f"  residual error after the cap: {model.residual_error:.3e}")
 
 
 if __name__ == "__main__":

@@ -21,152 +21,30 @@ Capabilities, one module each:
 
 The batch interface in :mod:`urllckit.cli` turns these into CSV/JSON
 emitters; results are byte-identical for a fixed seed regardless of the
-worker count.
+worker count.  The package namespace re-exports each module's public API,
+its ``__all__``.
 """
 
 from __future__ import annotations
 
-from .access import (
-    SCHEMES,
-    AccessErrorProfile,
-    LatencyCdf,
-    RetransmissionModel,
-    latency_cdf,
-    scheme_error,
-    scheme_steps,
-)
-from .fbl import (
-    LinkBudget,
-    PacketSpec,
-    asymptotic_bits,
-    awgn_params,
-    error_prob,
-    min_bandwidth,
-    snr_at_bandwidth,
-    success_probability,
-)
-from .framesync import (
-    CapExceededError,
-    Marker,
-    OccurrenceDistribution,
-    occurrence_distribution,
-    p_ub,
-    p_ub_list,
-    search_marker,
-    simulate_sync,
-)
-from .mimo import (
-    METHODS,
-    ClusterChannelSpec,
-    CovariancePair,
-    MethodResult,
-    MimoEvaluation,
-    PathCluster,
-    Precoder,
-    build_precoder,
-    covariance,
-    draw_channel,
-    draw_channels,
-    empirical_covariance,
-    evaluate,
-    random_cluster_spec,
-    ula_steering,
-)
-from .multiconn import (
-    ARCHITECTURES,
-    Interface,
-    ReliabilityChain,
-    outage_sweep,
-    reliability,
-)
-from .ratesel import (
-    BackoffPolicy,
-    NoFeasibleBackoffError,
-    RayleighScenario,
-    ThroughputResult,
-    ar_epsilon,
-    ar_outage_sup,
-    ml_estimate,
-    outage_capacity,
-    outage_probability,
-    pcr_epsilon,
-    throughput_ratio,
-)
-from .simcore import (
-    MonteCarloConfig,
-    NoBracketError,
-    SeededStream,
-    bisect,
-    collect_monte_carlo,
-    log_q_function,
-    q_function,
-    run_monte_carlo,
-)
+from . import access, fbl, framesync, mimo, multiconn, ratesel, simcore
+from .access import *  # noqa: F403
+from .fbl import *  # noqa: F403
+from .framesync import *  # noqa: F403
+from .mimo import *  # noqa: F403
+from .multiconn import *  # noqa: F403
+from .ratesel import *  # noqa: F403
+from .simcore import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "SCHEMES",
-    "AccessErrorProfile",
-    "LatencyCdf",
-    "RetransmissionModel",
-    "latency_cdf",
-    "scheme_error",
-    "scheme_steps",
-    "LinkBudget",
-    "PacketSpec",
-    "asymptotic_bits",
-    "awgn_params",
-    "error_prob",
-    "min_bandwidth",
-    "snr_at_bandwidth",
-    "success_probability",
-    "CapExceededError",
-    "Marker",
-    "OccurrenceDistribution",
-    "occurrence_distribution",
-    "p_ub",
-    "p_ub_list",
-    "search_marker",
-    "simulate_sync",
-    "METHODS",
-    "ClusterChannelSpec",
-    "CovariancePair",
-    "MethodResult",
-    "MimoEvaluation",
-    "PathCluster",
-    "Precoder",
-    "build_precoder",
-    "covariance",
-    "draw_channel",
-    "draw_channels",
-    "empirical_covariance",
-    "evaluate",
-    "random_cluster_spec",
-    "ula_steering",
-    "ARCHITECTURES",
-    "Interface",
-    "ReliabilityChain",
-    "outage_sweep",
-    "reliability",
-    "BackoffPolicy",
-    "NoFeasibleBackoffError",
-    "RayleighScenario",
-    "ThroughputResult",
-    "ar_epsilon",
-    "ar_outage_sup",
-    "ml_estimate",
-    "outage_capacity",
-    "outage_probability",
-    "pcr_epsilon",
-    "throughput_ratio",
-    "MonteCarloConfig",
-    "NoBracketError",
-    "SeededStream",
-    "bisect",
-    "collect_monte_carlo",
-    "log_q_function",
-    "q_function",
-    "run_monte_carlo",
+    *access.__all__,
+    *fbl.__all__,
+    *framesync.__all__,
+    *mimo.__all__,
+    *multiconn.__all__,
+    *ratesel.__all__,
+    *simcore.__all__,
     "__version__",
 ]

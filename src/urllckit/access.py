@@ -4,9 +4,10 @@ An access attempt is a chain of steps that must all succeed: synchronization,
 optional grant signaling, data, and acknowledgment.  Scheduled (static)
 access and grant-free access skip grant signaling entirely; four-step access
 pays for both the grant request and the grant; three-step access folds the
-request away.  The overall attempt error is one minus the product of the
-per-step success probabilities, and repeated attempts turn that into a
-staircase latency-reliability profile.
+request away.  The overall attempt error is the union of the independent
+per-step errors, computed from the errors themselves (simcore.union_error),
+and repeated attempts turn that into a staircase latency-reliability
+profile whose residual error is the attempt error to the power of the cap.
 """
 
 from __future__ import annotations
@@ -15,14 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .simcore import union_error
+
 __all__ = [
     "SCHEMES",
     "AccessErrorProfile",
     "scheme_steps",
     "scheme_error",
     "RetransmissionModel",
-    "LatencyCdf",
-    "latency_cdf",
 ]
 
 # step chains that must all succeed, per access scheme
@@ -68,71 +69,54 @@ def scheme_steps(scheme: str) -> tuple:
 
 
 def scheme_error(scheme: str, profile: AccessErrorProfile) -> float:
-    """Overall attempt error: 1 - prod(1 - eps_step) over the scheme's steps."""
+    """Overall attempt error: the union of the scheme's independent step errors."""
     eps = profile.as_dict()
-    prod = 1.0
-    for step in scheme_steps(scheme):
-        prod *= 1.0 - eps[step]
-    return 1.0 - prod
+    return union_error(*(eps[step] for step in scheme_steps(scheme)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class RetransmissionModel:
-    """Independent retries: per-attempt success p, fixed attempt latency, cap."""
+    """Independent retries: per-attempt error, fixed attempt latency, cap.
 
-    p_attempt: float
+    Every field is keyword-only, so a per-attempt success probability
+    passed positionally fails instead of being read as an error.  The
+    delivery curve is a right-continuous staircase: attempt k ends at
+    k * attempt_latency_s with delivery probability 1 - eps_attempt**k, and
+    the curve saturates at 1 - eps_attempt**max_attempts.
+    """
+
+    eps_attempt: float
     attempt_latency_s: float
     max_attempts: int
 
     def __post_init__(self):
-        if not 0.0 <= self.p_attempt <= 1.0:
-            raise ValueError(f"p_attempt must be in [0, 1], got {self.p_attempt}")
+        if not 0.0 <= self.eps_attempt <= 1.0:
+            raise ValueError(f"eps_attempt must be in [0, 1], got {self.eps_attempt}")
         if not self.attempt_latency_s > 0:
             raise ValueError("attempt_latency_s must be positive")
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
 
-
-@dataclass(frozen=True)
-class LatencyCdf:
-    """Right-continuous staircase of delivery probability vs deadline."""
-
-    model: RetransmissionModel
-
     @property
     def attempt_times(self) -> np.ndarray:
-        m = self.model
-        return m.attempt_latency_s * np.arange(1, m.max_attempts + 1)
+        return self.attempt_latency_s * np.arange(1, self.max_attempts + 1)
 
     @property
     def attempt_reliabilities(self) -> np.ndarray:
-        m = self.model
-        k = np.arange(1, m.max_attempts + 1)
-        return 1.0 - (1.0 - m.p_attempt) ** k
+        return 1.0 - self.eps_attempt ** np.arange(1, self.max_attempts + 1)
 
     @property
     def residual_error(self) -> float:
         """Probability the packet is never delivered within the attempt cap."""
-        m = self.model
-        return (1.0 - m.p_attempt) ** m.max_attempts
+        return self.eps_attempt ** self.max_attempts
 
     def reliability_at(self, deadline_s):
         """P(delivered by deadline); a deadline exactly on an attempt boundary
         includes that attempt (right-continuous)."""
-        m = self.model
         t = np.asarray(deadline_s, dtype=float)
         # relative nudge so a deadline sitting on k*L lands on step k despite
         # float division noise
-        ratio = t / m.attempt_latency_s
-        k = np.clip(np.floor(ratio * (1.0 + 1e-12) + 1e-12), 0, m.max_attempts)
-        out = 1.0 - (1.0 - m.p_attempt) ** k
+        ratio = t / self.attempt_latency_s
+        k = np.clip(np.floor(ratio * (1.0 + 1e-12) + 1e-12), 0, self.max_attempts)
+        out = 1.0 - self.eps_attempt ** k
         return float(out) if out.ndim == 0 else out
-
-
-def latency_cdf(model: RetransmissionModel) -> LatencyCdf:
-    """Latency-reliability staircase for independent capped retries.
-
-    Step k sits at k * attempt_latency with height p*(1-p)^(k-1); the curve
-    saturates at 1 - (1-p)^max_attempts.
-    """
-    return LatencyCdf(model)

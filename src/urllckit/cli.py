@@ -12,6 +12,7 @@ condition is also recorded in the output).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import shlex
@@ -125,22 +126,21 @@ def _cmd_access(args, argv) -> int:
         sys.stdout.write(text)
     if args.cdf_out:
         model = access.RetransmissionModel(
-            p_attempt=1.0 - err,
+            eps_attempt=err,
             attempt_latency_s=args.attempt_latency_s,
             max_attempts=args.max_attempts,
         )
-        cdf = access.latency_cdf(model)
         rows = [
             [k + 1, t, r]
-            for k, (t, r) in enumerate(zip(cdf.attempt_times,
-                                           cdf.attempt_reliabilities))
+            for k, (t, r) in enumerate(zip(model.attempt_times,
+                                           model.attempt_reliabilities))
         ]
         comments = [
             _command_comment(argv),
-            f"scheme = {args.scheme}, p_attempt = {_fmt(model.p_attempt)}, "
+            f"scheme = {args.scheme}, eps_attempt = {_fmt(model.eps_attempt)}, "
             f"attempt_latency_s = {_fmt(args.attempt_latency_s)}, "
             f"max_attempts = {args.max_attempts}",
-            f"residual_error = {_fmt(cdf.residual_error)}",
+            f"residual_error = {_fmt(model.residual_error)}",
         ]
         _write_csv(args.cdf_out, comments,
                    ["attempt", "deadline_s", "reliability"], rows)
@@ -294,6 +294,9 @@ def _cmd_ratesel_sweep(args, argv) -> int:
 
 # ---- wiring ----------------------------------------------------------------
 
+# argparse construction costs milliseconds; build the parser once per process
+# for callers that invoke run() repeatedly (parsing leaves it unchanged)
+@functools.cache
 def _build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int_field(0), default=0,

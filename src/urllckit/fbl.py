@@ -6,7 +6,9 @@ link observed over bandwidth B for latency T offers N = 2*B*T real channel
 uses, and spreading a fixed transmit power over more bandwidth scales the
 per-use SNR down as gamma = gamma0 * B0 / B.  This module carries the
 resulting error calculus plus a minimum-bandwidth solver for a packet of
-data and metadata bits, encoded jointly or separately.
+data and metadata bits, encoded jointly or separately.  The solver works on
+the packet error itself (packet_error <= eps), never on 1 - eps, so targets
+far below 1e-16 are met as stated.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .simcore import bisect, q_function
+from .simcore import bisect, q_function, union_error
 
 __all__ = [
     "LOG2E",
@@ -26,6 +28,7 @@ __all__ = [
     "error_prob",
     "snr_at_bandwidth",
     "asymptotic_bits",
+    "packet_error",
     "success_probability",
     "min_bandwidth",
 ]
@@ -137,34 +140,41 @@ def asymptotic_bits(budget: LinkBudget) -> float:
     return budget.gamma0 * budget.b0_hz * budget.latency_s * LOG2E
 
 
-def success_probability(budget: LinkBudget, pkt: PacketSpec, n, mode: str = "joint"):
-    """Packet success probability at n = 2*B*T real channel uses.
+def packet_error(budget: LinkBudget, pkt: PacketSpec, n, mode: str = "joint"):
+    """Packet error probability at n = 2*B*T real channel uses.
 
     joint: one codeword over all n uses carrying data+metadata.
     separate: metadata and data each get n/2 uses at the same per-use SNR,
-    and both must decode.
+    and the packet fails when either fails (simcore.union_error).
     """
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
     n = np.asarray(n, dtype=float)
     gamma = budget.gamma0 * 2.0 * budget.b0_hz * budget.latency_s / n
     if mode == "joint":
-        out = 1.0 - error_prob(n, gamma, pkt.total_bits)
+        out = error_prob(n, gamma, pkt.total_bits)
     else:
         half = n / 2.0
-        out = (1.0 - error_prob(half, gamma, pkt.metadata_bits)) * \
-              (1.0 - error_prob(half, gamma, pkt.data_bits))
+        out = union_error(error_prob(half, gamma, pkt.metadata_bits),
+                          error_prob(half, gamma, pkt.data_bits))
     return float(out) if np.ndim(out) == 0 else out
+
+
+def success_probability(budget: LinkBudget, pkt: PacketSpec, n, mode: str = "joint"):
+    """Packet success probability 1 - packet_error at n real channel uses."""
+    return 1.0 - packet_error(budget, pkt, n, mode)
 
 
 def min_bandwidth(budget: LinkBudget, pkt: PacketSpec, eps_target: float,
                   mode: str = "joint", *, n_max: int = _N_MAX) -> float:
-    """Smallest bandwidth (Hz) whose success probability reaches 1 - eps_target.
+    """Smallest bandwidth (Hz) whose packet error is at most eps_target.
 
     Returns math.inf when infeasible: past the analytic ceiling (with a 2%
-    guard band) or when no blocklength up to n_max succeeds.  The bracket
-    comes from a geometric scan over n, refined by bisection to ~1e-6
-    relative.
+    guard band) or when no blocklength up to n_max meets the target.  The
+    bracket comes from a geometric scan over n, refined by bisection to
+    ~1e-6 relative.  Errors are compared with eps_target directly, so
+    targets below the double-precision spacing of 1 (1e-17, 1e-20) stay
+    distinct.
     """
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
@@ -179,10 +189,9 @@ def min_bandwidth(budget: LinkBudget, pkt: PacketSpec, eps_target: float,
     if required >= available * (1.0 + _CEILING_GUARD):
         return math.inf
 
-    target = 1.0 - eps_target
     grid = np.geomspace(2.0, float(n_max), _BRACKET_POINTS)
-    succ = success_probability(budget, pkt, grid, mode)
-    hits = np.nonzero(succ >= target)[0]
+    err = packet_error(budget, pkt, grid, mode)
+    hits = np.nonzero(err <= eps_target)[0]
     if hits.size == 0:
         return math.inf
     idx = int(hits[0])
@@ -191,7 +200,7 @@ def min_bandwidth(budget: LinkBudget, pkt: PacketSpec, eps_target: float,
     else:
         lo, hi = float(grid[idx - 1]), float(grid[idx])
         n_star = bisect(
-            lambda n: success_probability(budget, pkt, n, mode) - target,
+            lambda n: packet_error(budget, pkt, n, mode) - eps_target,
             lo, hi, tol=1e-6 * lo,
         )
     return n_star / (2.0 * budget.latency_s)

@@ -433,7 +433,8 @@ class MimoEvaluation:
 
 def _per_attempt(sinr: np.ndarray, payload_bits: int) -> np.ndarray:
     pb = q_function(np.sqrt(2.0 * sinr))
-    return -np.expm1(payload_bits * np.log1p(-np.minimum(pb, 1.0 - 1e-16)))
+    # pb <= 1/2 because sinr >= 0, so log1p(-pb) is finite
+    return -np.expm1(payload_bits * np.log1p(-pb))
 
 
 def evaluate(
@@ -471,11 +472,11 @@ def evaluate(
         aps.update(attempts_per_slot)
 
     covs = (covariance(spec, 0), covariance(spec, 1))
-    # context per (terminal role, nulling flag); built once, reused per block
-    ctx = {}
-    for term in (0, 1):
-        ctx[(term, True)] = _PrecoderContext(covs[term], covs[1 - term])
-        ctx[(term, False)] = _PrecoderContext(covs[term], None)
+    # context per (terminal role, nulling flag); built once, reused per block.
+    # Only terminal 0 is ever evaluated without nulling.
+    ctx = {(0, True): _PrecoderContext(covs[0], covs[1]),
+           (0, False): _PrecoderContext(covs[0], None),
+           (1, True): _PrecoderContext(covs[1], covs[0])}
 
     total_power = 10.0 ** (rho_db / 10.0)
     spatial = multiplexing == "space"

@@ -26,7 +26,6 @@ import numpy as np
 
 from .simcore import (
     MonteCarloConfig,
-    NoBracketError,
     SeededStream,
     bisect,
     reg_lower_gamma,
@@ -151,10 +150,8 @@ def pcr_epsilon(n: int, eps: float, xi: float) -> float:
     if violation(_PCR_FLOOR) > xi:
         raise NoFeasibleBackoffError(
             f"no back-off above {_PCR_FLOOR} meets xi={xi} for n={n}, eps={eps}")
-    try:
-        return bisect(lambda x: violation(x) - xi, _PCR_FLOOR, eps, tol=0.0)
-    except NoBracketError as exc:  # pragma: no cover - guarded above
-        raise NoFeasibleBackoffError(str(exc)) from exc
+    # the two checks above give violation - xi a sign change on the bracket
+    return bisect(lambda x: violation(x) - xi, _PCR_FLOOR, eps, tol=0.0)
 
 
 @dataclass(frozen=True)

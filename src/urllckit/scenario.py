@@ -7,6 +7,7 @@ running the default.
 
 from __future__ import annotations
 
+import argparse
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional
@@ -20,8 +21,12 @@ __all__ = [
 ]
 
 
-class ScenarioError(ValueError):
-    """Malformed scenario file or parameter set."""
+class ScenarioError(ValueError, argparse.ArgumentTypeError):
+    """Malformed scenario file or parameter set, or a value out of range.
+
+    Also an argparse.ArgumentTypeError, so a CLI flag rejected by one of the
+    converters below is reported with this message as it is.
+    """
 
 
 @dataclass(frozen=True)
@@ -77,16 +82,18 @@ def apply_schema(raw: dict, schema: dict, source: str = "<scenario>") -> dict:
 
 
 # ---- converter factories ----------------------------------------------------
-# The CLI passes these to argparse as type=, which reports a rejected value
-# by the converter's __name__, hence the descriptive inner function names.
+# The CLI passes these to argparse as type=.  Range failures raise
+# ScenarioError, whose message argparse prints; a value that does not parse
+# at all (int("x")) is reported by the converter's __name__, hence the
+# descriptive inner function names.
 
 def int_field(lo: Optional[int] = None, hi: Optional[int] = None):
     def int_in_range(s: str) -> int:
         v = int(s)
         if lo is not None and v < lo:
-            raise ValueError(f"must be >= {lo}, got {v}")
+            raise ScenarioError(f"must be >= {lo}, got {v}")
         if hi is not None and v > hi:
-            raise ValueError(f"must be <= {hi}, got {v}")
+            raise ScenarioError(f"must be <= {hi}, got {v}")
         return v
     return int_in_range
 
@@ -97,9 +104,9 @@ def float_field(lo: Optional[float] = None, hi: Optional[float] = None,
     def float_in_range(s: str) -> float:
         v = float(s)
         if lo is not None and not (v > lo if strict else v >= lo):
-            raise ValueError(f"must be {'>' if strict else '>='} {lo}, got {v}")
+            raise ScenarioError(f"must be {'>' if strict else '>='} {lo}, got {v}")
         if hi is not None and not (v < hi if strict else v <= hi):
-            raise ValueError(f"must be {'<' if strict else '<='} {hi}, got {v}")
+            raise ScenarioError(f"must be {'<' if strict else '<='} {hi}, got {v}")
         return v
     return float_in_range
 
@@ -109,7 +116,7 @@ def choice_field(options):
 
     def one_of(s: str) -> str:
         if s not in opts:
-            raise ValueError(f"must be one of {opts}, got {s!r}")
+            raise ScenarioError(f"must be one of {opts}, got {s!r}")
         return s
     return one_of
 
@@ -118,9 +125,9 @@ def list_field(item_convert: Callable[[str], object], length: Optional[int] = No
     def comma_list(s: str):
         parts = [p.strip() for p in s.split(",") if p.strip()]
         if not parts:
-            raise ValueError("empty list")
+            raise ScenarioError("empty list")
         if length is not None and len(parts) != length:
-            raise ValueError(f"expected {length} items, got {len(parts)}")
+            raise ScenarioError(f"expected {length} items, got {len(parts)}")
         return tuple(item_convert(p) for p in parts)
     return comma_list
 
@@ -132,5 +139,5 @@ def bool_field():
             return True
         if low in ("0", "false", "no", "off"):
             return False
-        raise ValueError(f"must be a boolean, got {s!r}")
+        raise ScenarioError(f"must be a boolean, got {s!r}")
     return convert

@@ -1,10 +1,12 @@
 """Shared numerics and seeded Monte-Carlo plumbing.
 
-Everything downstream leans on three numeric primitives (Gaussian tail,
-regularized lower incomplete gamma, bisection) plus a reproducible stream
-abstraction.  Streams are keyed Philox generators: the (master_seed,
-substream_id) pair is the 128-bit key, so equal pairs give bit-identical
-sequences and distinct pairs give independent counter-based streams.
+Everything downstream leans on four numeric primitives (Gaussian tail,
+regularized lower incomplete gamma, bisection, and the union of independent
+failures, kept in the error domain so 1e-17 stays 1e-17) plus a
+reproducible stream abstraction.  Streams are keyed Philox generators: the
+(master_seed, substream_id) pair is the 128-bit key, so equal pairs give
+bit-identical sequences and distinct pairs give independent counter-based
+streams.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ __all__ = [
     "q_function",
     "log_q_function",
     "reg_lower_gamma",
+    "union_error",
     "bisect",
     "SeededStream",
     "MonteCarloConfig",
@@ -69,6 +72,20 @@ def log_q_function(x):
 def reg_lower_gamma(n, x):
     """Regularized lower incomplete gamma P(n, x), vectorized."""
     return special.gammainc(n, x)
+
+
+def union_error(*eps):
+    """P(at least one of independent events occurs), given each one's probability.
+
+    Accumulates a + b - a*b, evaluated as a + b*(1 - a): error probabilities
+    go in and come out, never the complement 1 - prod(1 - eps) that rounds
+    1e-17 to zero, and a certain event stays exactly 1.  Works on scalars
+    and broadcastable arrays alike; no arguments give 0.0.
+    """
+    out = 0.0
+    for e in eps:
+        out = out + e * (1.0 - out)
+    return out
 
 
 def bisect(f: Callable[[float], float], lo: float, hi: float, tol: float = 1e-12,

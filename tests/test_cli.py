@@ -61,7 +61,25 @@ def test_out_of_range_flag_writes_nothing(tmp_path, capsys, command, flag, value
     out = tmp_path / "x.csv"
     assert run([*command.split(), "--out", str(out), flag, value]) == EXIT_USAGE
     assert not out.exists()
-    assert flag in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert flag in err
+    # the converter's reason reaches the user, not just the rejected value
+    assert _FLAG_REASONS[(flag, value)] in err
+
+
+_FLAG_REASONS = {
+    ("--trials", "0"): "must be >= 1, got 0",
+    ("--seed", "-1"): "must be >= 0, got -1",
+    ("--eps", "0"): "must be > 0.0, got 0.0",
+    ("--eps", "1"): "must be < 1.0, got 1.0",
+    ("--eps", "nan"): "must be > 0.0, got nan",
+    ("--b0-hz", "0"): "must be > 0.0, got 0.0",
+    ("--xi", "1"): "must be < 1.0, got 1.0",
+    ("--constraints", "bogus"): "must be one of ('ar', 'pcr'), got 'bogus'",
+    ("--n-values", ""): "empty list",
+    ("--far-rel", "1.5"): "must be <= 1.0, got 1.5",
+    ("--archs", "bogus"): "must be one of ('single', 'dc', 'ifd'), got 'bogus'",
+}
 
 
 def test_fbl_sweep_reports_infeasible_points(tmp_path, csv_body):
@@ -128,6 +146,17 @@ def test_access_files_and_cdf(tmp_path, csv_body):
     assert float(rows[0][1]) == pytest.approx(2e-3)
     assert float(rows[0][2]) == pytest.approx(0.9, rel=1e-12)
     assert "residual_error" in cdf.read_text()
+
+
+def test_access_keeps_errors_below_double_spacing(tmp_path, capsys):
+    cdf = tmp_path / "cdf.csv"
+    assert run(["access", "--scheme", "static", "--eps-data", "1e-17",
+                "--cdf-out", str(cdf)]) == EXIT_OK
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["overall_error"] == 1e-17
+    residual = next(ln for ln in cdf.read_text().splitlines()
+                    if ln.startswith("# residual_error"))
+    assert float(residual.split("=")[1]) == pytest.approx(1e-170, rel=1e-12, abs=0)
 
 
 def test_access_rejects_bad_probability(capsys):

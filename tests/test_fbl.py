@@ -15,6 +15,7 @@ from urllckit.fbl import (
     awgn_params,
     error_prob,
     min_bandwidth,
+    packet_error,
     snr_at_bandwidth,
     success_probability,
 )
@@ -59,7 +60,7 @@ def test_awgn_params_vectorized():
 
 @pytest.mark.parametrize("n,gamma,bits,expected", _ERROR_REFERENCE)
 def test_error_prob_reference(n, gamma, bits, expected):
-    assert error_prob(n, gamma, bits) == pytest.approx(expected, rel=1e-12)
+    assert error_prob(n, gamma, bits) == pytest.approx(expected, rel=1e-12, abs=0)
 
 
 def test_error_prob_monotone_in_blocklength():
@@ -157,6 +158,39 @@ def test_min_bandwidth_reaches_target():
         n = 2.0 * b * budget.latency_s
         s = success_probability(budget, pkt, n, mode)
         assert s == pytest.approx(1.0 - 1e-5, abs=1e-8)
+
+
+def test_packet_error_is_the_complement_of_success():
+    budget = LinkBudget(10.0, 1e5, 1e-3)
+    pkt = PacketSpec(128, 128)
+    n = np.array([3000.0, 4000.0, 6000.0])
+    gamma = 10.0 * 2.0 * 1e5 * 1e-3 / n
+    assert packet_error(budget, pkt, n, "joint") == pytest.approx(
+        error_prob(n, gamma, 256), rel=1e-15, abs=0)
+    e = error_prob(n / 2, gamma, 128)
+    assert packet_error(budget, pkt, n, "separate") == pytest.approx(
+        2 * e - e * e, rel=1e-12, abs=0)
+    for mode in ("joint", "separate"):
+        assert success_probability(budget, pkt, n, mode) == pytest.approx(
+            1.0 - packet_error(budget, pkt, n, mode), rel=1e-15)
+
+
+@pytest.mark.parametrize("mode", ["joint", "separate"])
+def test_min_bandwidth_meets_targets_below_double_spacing(mode):
+    # at 20 dB, 128+128 bits: errors of 1e-17 and 1e-20 are both far below
+    # the spacing of doubles near 1, yet each target gets its own bandwidth
+    budget = LinkBudget(100.0, 1e5, 1e-3)
+    pkt = PacketSpec(128, 128)
+    solved = {}
+    for eps in (1e-12, 1e-17, 1e-20):
+        b = min_bandwidth(budget, pkt, eps, mode)
+        assert math.isfinite(b)
+        n_hi = 2.0 * b * (1.0 + 1e-5) * budget.latency_s
+        n_lo = 2.0 * b * (1.0 - 1e-5) * budget.latency_s
+        assert packet_error(budget, pkt, n_hi, mode) <= eps
+        assert packet_error(budget, pkt, n_lo, mode) > eps
+        solved[eps] = b
+    assert solved[1e-12] < solved[1e-17] < solved[1e-20]
 
 
 def test_min_bandwidth_joint_never_needs_more_than_separate():

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from urllckit.multiconn import (
     ARCHITECTURES,
@@ -122,3 +126,49 @@ def test_outage_sweep_validation():
         outage_sweep(_BASELINE, [0.1], vary_index=2)
     with pytest.raises(ValueError):
         outage_sweep(_BASELINE, [1.5])
+
+
+def _exact_outage(links, cores, r_far, arch) -> Fraction:
+    links = [Fraction(v) for v in links]
+    cores = [Fraction(v) for v in cores]
+    far = Fraction(r_far)
+    if arch == "single":
+        rel = links[0] * cores[0] * far
+    elif arch == "dc":
+        miss = Fraction(1)
+        for rl in links:
+            miss *= 1 - rl
+        rel = (1 - miss) * cores[0] * far
+    else:
+        miss = Fraction(1)
+        for rl, rc in zip(links, cores):
+            miss *= 1 - rl * rc
+        rel = (1 - miss) * far
+    return 1 - rel
+
+
+_TINY = st.floats(min_value=1e-18, max_value=1e-6)
+
+
+@given(q=_TINY, q_links=st.tuples(_TINY, _TINY), q_cores=st.tuples(_TINY, _TINY),
+       q_far=_TINY, arch=st.sampled_from(ARCHITECTURES), vary=st.sampled_from((0, 1)))
+def test_outage_matches_exact_fractions(q, q_links, q_cores, q_far, arch, vary):
+    # elements at 1 - q; 1 - q rounds for q < 1e-16, so the exact reference
+    # takes the reliabilities as stored, and the swept outage q as it is
+    links = [1.0 - v for v in q_links]
+    cores = [1.0 - c for c in q_cores]
+    chain = ReliabilityChain(tuple(map(Interface, links, cores)), r_far=1.0 - q_far)
+    (row,) = outage_sweep(chain, [q], archs=(arch,), vary_index=vary)
+    links[vary] = 1 - Fraction(q)
+    exact = _exact_outage(links, cores, 1.0 - q_far, arch)
+    assert row[2] == pytest.approx(float(exact), rel=1e-12, abs=0)
+
+
+def test_outage_near_1e9_link_outage():
+    # a 1e-9 link outage behind 1e-10 cores and a 1e-5 second link: the
+    # product of reliabilities printed 1.09912e-14 here, 8e-4 off
+    chain = ReliabilityChain(
+        (Interface(0.99, 1 - 1e-10), Interface(0.99999, 1 - 1e-10)), r_far=1.0)
+    (row,) = outage_sweep(chain, [1e-9], archs=("ifd",))
+    exact = _exact_outage([1 - Fraction(1e-9), 0.99999], [1 - 1e-10] * 2, 1.0, "ifd")
+    assert row[2] == pytest.approx(float(exact), rel=1e-12, abs=0)

@@ -56,7 +56,7 @@ def test_outage_capacity_reference_and_roundtrip():
     for th in (0.5, 1.0, 10.0, 100.0):
         for e in (1e-5, 1e-3, 0.1, 0.5):
             assert outage_probability(th, outage_capacity(th, e)) == \
-                pytest.approx(e, rel=1e-10)
+                pytest.approx(e, rel=1e-10, abs=0)
     with pytest.raises(ValueError):
         outage_capacity(10.0, 1.0)
 

@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from urllckit.simcore import (
     MonteCarloConfig,
@@ -17,6 +20,7 @@ from urllckit.simcore import (
     q_function,
     reg_lower_gamma,
     run_monte_carlo,
+    union_error,
 )
 
 # reference values computed with mpmath at 40 decimal digits
@@ -61,7 +65,7 @@ _GAMMA_REFERENCE = [
 
 @pytest.mark.parametrize("x,expected", _Q_REFERENCE)
 def test_q_function_reference(x, expected):
-    assert q_function(x) == pytest.approx(expected, rel=1e-12)
+    assert q_function(x) == pytest.approx(expected, rel=1e-12, abs=0)
 
 
 def test_q_function_survives_ndtr_underflow():
@@ -94,6 +98,26 @@ def test_log_q_function_reference(x, expected):
 @pytest.mark.parametrize("n,x,expected", _GAMMA_REFERENCE)
 def test_reg_lower_gamma_reference(n, x, expected):
     assert reg_lower_gamma(n, x) == pytest.approx(expected, rel=1e-12)
+
+
+@given(st.lists(st.floats(min_value=1e-18, max_value=1e-6), min_size=1, max_size=8))
+def test_union_error_matches_exact_fractions(eps):
+    miss = Fraction(1)
+    for e in eps:
+        miss *= 1 - Fraction(e)
+    assert union_error(*eps) == pytest.approx(float(1 - miss), rel=1e-12, abs=0)
+
+
+def test_union_error_edges_and_arrays():
+    assert union_error() == 0.0
+    assert union_error(0.0, 0.0) == 0.0
+    assert union_error(1e-17, 1.0, 0.3) == 1.0
+    assert union_error(0.3, 1.0) == 1.0
+    # three steps at 1e-12: the complement of a product gives 2.99993e-12
+    assert union_error(1e-12, 1e-12, 1e-12) == pytest.approx(3e-12, rel=1e-11, abs=0)
+    a = np.array([1e-17, 0.5, 1.0])
+    assert np.array_equal(union_error(a, 0.0), a)
+    assert union_error(a, a) == pytest.approx([2e-17, 0.75, 1.0], rel=1e-15, abs=0)
 
 
 def test_bisect_sqrt2():
