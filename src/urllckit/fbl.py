@@ -172,9 +172,10 @@ def min_bandwidth(budget: LinkBudget, pkt: PacketSpec, eps_target: float,
     Returns math.inf when infeasible: past the analytic ceiling (with a 2%
     guard band) or when no blocklength up to n_max meets the target.  The
     bracket comes from a geometric scan over n, refined by bisection to
-    ~1e-6 relative.  Errors are compared with eps_target directly, so
-    targets below the double-precision spacing of 1 (1e-17, 1e-20) stay
-    distinct.
+    ~1e-6 relative; the result is the bracket's upper end, so the packet
+    error at the returned bandwidth itself is at most eps_target.  Errors
+    are compared with eps_target directly, so targets below the
+    double-precision spacing of 1 (1e-17, 1e-20) stay distinct.
     """
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")

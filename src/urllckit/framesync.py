@@ -11,7 +11,11 @@ whenever C < l plus l/(i+1) otherwise.
 
 The distribution of C is computed exactly with a prefix-automaton dynamic
 program over the payload bits; the automaton starts in the full-match
-state so marker-suffix overlaps are handled without enumeration.
+state so marker-suffix overlaps are handled without enumeration.  Each
+payload bit is two dense transfer matrices over the automaton states: one
+moves mass that completes no match, one row collects the mass that does
+and shifts it up one count.  The marker search scores each distinct word
+once per call.
 """
 
 from __future__ import annotations
@@ -148,30 +152,23 @@ def occurrence_distribution(marker: Marker, payload_bits: int,
 
     cap = min(count_cap, payload_bits)
     delta = _prefix_automaton(marker.bits)
-    # per input bit: states whose transition completes a match vs not
-    plain_rows, plain_targets, match_rows = [], [], []
+    # one payload bit as transfer matrices, 0.5 per input bit folded in:
+    # plain[target, source] moves mass without completing a match, and
+    # match[source] (row m of the full step) is the mass that completes one
+    plain = np.zeros((m + 1, m + 1))
     for b in (0, 1):
-        targets = delta[:, b]
-        hit = targets == m
-        plain_rows.append(np.nonzero(~hit)[0])
-        plain_targets.append(targets[~hit])
-        match_rows.append(np.nonzero(hit)[0])
+        plain[delta[:, b], np.arange(m + 1)] = 0.5
+    match = plain[m].copy()
+    plain[m] = 0.0
 
     # joint law over (automaton state, count bucket); last bucket is the tail
     prob = np.zeros((m + 1, cap + 2))
     prob[m, 0] = 1.0  # the marker itself was just read; its match is not counted
     for _ in range(payload_bits):
-        nxt = np.zeros_like(prob)
-        for b in (0, 1):
-            rows = plain_rows[b]
-            if rows.size:
-                np.add.at(nxt, plain_targets[b], prob[rows])
-            rows = match_rows[b]
-            if rows.size:
-                shifted = prob[rows].sum(axis=0)
-                nxt[m, 1:cap + 1] += shifted[:cap]
-                nxt[m, cap + 1] += shifted[cap] + shifted[cap + 1]
-        prob = 0.5 * nxt
+        hit = match @ prob
+        prob = plain @ prob  # row m stays zero: only matches land there
+        prob[m, 1:] = hit[:-1]
+        prob[m, -1] += hit[-1]
 
     by_count = prob.sum(axis=0)
     tail = float(by_count[cap + 1])
@@ -232,40 +229,34 @@ def search_marker(n_bits: int, payload_bits: int, budget: int = 2048,
     if budget < 1:
         raise ValueError("budget must be >= 1")
 
+    # the climb revisits words; score each distinct word once per search
+    scores = {}
+
     def score(marker: Marker) -> float:
-        return p_ub(occurrence_distribution(marker, payload_bits, count_cap))
+        v = scores.get(marker.bits)
+        if v is None:
+            v = scores[marker.bits] = p_ub(
+                occurrence_distribution(marker, payload_bits, count_cap))
+        return v
 
     if n_bits <= 16 and 2 ** n_bits <= budget:
-        best, best_v = None, -1.0
-        for value in range(2 ** n_bits):
-            cand = _marker_from_int(value, n_bits)
-            v = score(cand)
-            if v > best_v:
-                best, best_v = cand, v
-        return best
+        words = (_marker_from_int(value, n_bits) for value in range(2 ** n_bits))
+        return max(words, key=score)  # the first of equal scores wins
 
     rng = SeededStream(seed).derive(_SEARCH_TAG, n_bits, payload_bits).generator()
-    current = Marker.alternating(n_bits)
-    current_v = score(current)
-    best, best_v = current, current_v
-    evals = 1
+    current = best = Marker.alternating(n_bits)
+    current_v = best_v = score(current)
     stale = 0
-    while evals < budget:
-        if stale > 2 * n_bits:
-            # restart: greedy flips stopped paying, try a fresh random word
-            current = _marker_from_int(int(rng.integers(0, 2 ** n_bits)), n_bits)
-            current_v = score(current)
-            evals += 1
-            stale = 0
-            if current_v > best_v:
-                best, best_v = current, current_v
-            continue
-        cand = _flip(current, int(rng.integers(0, n_bits)))
+    for _ in range(budget - 1):  # one evaluation per step after the baseline
+        # restart: greedy flips stopped paying, take a fresh random word
+        restart = stale > 2 * n_bits
+        if restart:
+            cand = _marker_from_int(int(rng.integers(0, 2 ** n_bits)), n_bits)
+        else:
+            cand = _flip(current, int(rng.integers(0, n_bits)))
         v = score(cand)
-        evals += 1
-        if v > current_v:
-            current, current_v = cand, v
-            stale = 0
+        if restart or v > current_v:
+            current, current_v, stale = cand, v, 0
             if v > best_v:
                 best, best_v = cand, v
         else:
@@ -294,12 +285,14 @@ def simulate_sync(marker: Marker, payload_bits: int, snr_db,
         packet = np.empty((count, m + n))
         packet[:, :m] = msym
         if n:
-            bits = rng.integers(0, 2, size=(count, n))
-            packet[:, m:] = 1.0 - 2.0 * bits
-        received = packet if sigma is None else packet + rng.normal(0.0, sigma, packet.shape)
+            # antipodal 1 - 2*bits built in place; the draws die right away
+            np.multiply(rng.integers(0, 2, size=(count, n)), -2.0, out=packet[:, m:])
+            packet[:, m:] += 1.0
+        if sigma is not None:
+            packet += rng.normal(0.0, sigma, packet.shape)
         corr = np.empty((count, n + 1))
         for j in range(n + 1):
-            corr[:, j] = received[:, j:j + m] @ msym
+            corr[:, j] = packet[:, j:j + m] @ msym
         peak = corr.max(axis=1)
         ties = (corr == peak[:, None]).sum(axis=1)
         at_true = corr[:, 0] == peak

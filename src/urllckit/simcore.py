@@ -92,8 +92,10 @@ def bisect(f: Callable[[float], float], lo: float, hi: float, tol: float = 1e-12
            max_iter: int = 200) -> float:
     """Root of f on [lo, hi] by bisection, to absolute interval width tol.
 
-    Requires a sign change (or an exact zero) on the interval; otherwise
-    raises NoBracketError rather than guessing.
+    Returns an exact zero if one is hit, else the end of the final bracket
+    where f < 0, never its midpoint: a caller solving f(x) <= 0 gets a point
+    that meets its constraint.  Requires a sign change (or an exact zero)
+    on the interval; otherwise raises NoBracketError rather than guessing.
     """
     if not lo < hi:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
@@ -116,7 +118,7 @@ def bisect(f: Callable[[float], float], lo: float, hi: float, tol: float = 1e-12
             lo, flo = mid, fmid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    return lo if flo < 0.0 else hi
 
 
 def _mix64(v: int) -> int:

@@ -193,6 +193,25 @@ def test_min_bandwidth_meets_targets_below_double_spacing(mode):
     assert solved[1e-12] < solved[1e-17] < solved[1e-20]
 
 
+@pytest.mark.parametrize("mode", ["joint", "separate"])
+def test_min_bandwidth_output_itself_meets_target(mode):
+    # the returned bandwidth, not just B(1 + 1e-5), must meet eps: the end
+    # of the final bisection bracket, never its midpoint
+    feasible = 0
+    for g_db in np.linspace(5.0, 40.0, 20):
+        budget = LinkBudget(10.0 ** (g_db / 10.0), 1e5, 1e-3)
+        for pkt in (PacketSpec.from_bytes(16, 16), PacketSpec.from_bytes(32, 8),
+                    PacketSpec.from_bytes(4, 4)):
+            for eps in (1e-5, 1e-9, 1e-17):
+                b = min_bandwidth(budget, pkt, eps, mode)
+                if math.isinf(b):
+                    continue
+                feasible += 1
+                n = 2.0 * b * budget.latency_s
+                assert packet_error(budget, pkt, n, mode) <= eps, (g_db, pkt, eps)
+    assert feasible > 150
+
+
 def test_min_bandwidth_joint_never_needs_more_than_separate():
     pkt = PacketSpec(128, 128)
     for g_db in np.linspace(8.0, 35.0, 8):

@@ -125,6 +125,15 @@ def test_bisect_sqrt2():
     assert abs(root - math.sqrt(2.0)) < 1e-11
 
 
+def test_bisect_returns_the_end_meeting_the_constraint():
+    # f <= 0 holds at the result whichever way f runs through its root
+    up = bisect(lambda x: x * x - 2.0, 1.0, 2.0, tol=1e-9)
+    down = bisect(lambda x: 2.0 - x * x, 1.0, 2.0, tol=1e-9)
+    assert up * up - 2.0 < 0.0 < down * down - 2.0
+    assert up < math.sqrt(2.0) < down
+    assert down - up <= 1e-9
+
+
 def test_bisect_exact_zero_endpoints():
     assert bisect(lambda x: x - 1.0, 1.0, 2.0) == 1.0
     assert bisect(lambda x: x - 2.0, 1.0, 2.0) == 2.0
