@@ -18,6 +18,11 @@ and that is where the methods differ:
                      amplitudes sqrt(eigenvalue) (no CSI)
   strongest_sv_av    the dominant projected eigenvector (no CSI)
 
+Each precoder is a fixed span from the covariances times per-realization
+coefficients (dominant right singular vector, one-hot pick, or 1).  As
+H = S_rx diag(alpha) S_tx^H, evaluate projects the path gains alpha on each
+span and never forms a channel matrix or a full precoder per realization.
+
 Receivers: methods transmitting across all eigenvectors use a matched
 filter on the aggregate effective channel; the strongest-vector methods
 project on the dominant receive eigenvector.  Methods without full CSI
@@ -27,6 +32,7 @@ spend half the training, so they fit two packets per slot.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -42,7 +48,6 @@ from .simcore import (
 
 __all__ = [
     "METHODS",
-    "ZF_METHODS",
     "DEFAULT_ATTEMPTS_PER_SLOT",
     "PathCluster",
     "ClusterChannelSpec",
@@ -67,7 +72,10 @@ METHODS = (
     "all_sv_ncoh",
     "strongest_sv_av",
 )
-ZF_METHODS = METHODS[1:]
+# method groups: coefficient rule, CSI need, receive combiner
+_COHERENT = METHODS[:2]
+_NEEDS_CSI = METHODS[:3]
+_MATCHED_RX = ("interference_free", "all_sv_coh", "all_sv_ncoh")
 
 # full-CSI coherent methods train twice as long, so half the packets fit
 DEFAULT_ATTEMPTS_PER_SLOT = {
@@ -184,8 +192,8 @@ def random_cluster_spec(
 class CovariancePair:
     """Transmit/receive covariance of one terminal with eigenstructure.
 
-    Eigenvalues are descending; *_rank counts the numerically nonzero ones
-    and the support properties expose the matching orthonormal bases,
+    Eigenvalues are descending; tx_rank counts the numerically nonzero
+    transmit eigenvalues and tx_support is the matching orthonormal basis,
     computed from the power-weighted steering matrix so the span stays
     exact even when the covariance eigenproblem is ill conditioned.
     """
@@ -197,15 +205,10 @@ class CovariancePair:
     rx_eigvals: np.ndarray
     rx_eigvecs: np.ndarray
     tx_rank: int
-    rx_rank: int
 
     @property
     def tx_support(self) -> np.ndarray:
         return self.tx_eigvecs[:, : self.tx_rank]
-
-    @property
-    def rx_support(self) -> np.ndarray:
-        return self.rx_eigvecs[:, : self.rx_rank]
 
     @property
     def v_max(self) -> np.ndarray:
@@ -225,18 +228,26 @@ def _eig_from_weighted(a: np.ndarray, dim: int):
     return svals ** 2, u, max(rank, 1)
 
 
+def _steering_factors(spec: ClusterChannelSpec, terminal: int):
+    """(S_rx, S_tx, powers) of one terminal: H = S_rx diag(alpha) S_tx^H."""
+    cl = spec.clusters[terminal]
+    return (
+        ula_steering(cl.arrival_deg, spec.rx_antennas),
+        ula_steering(cl.departure_deg, spec.tx_antennas),
+        np.asarray(cl.powers),
+    )
+
+
 def covariance(spec: ClusterChannelSpec, terminal: int) -> CovariancePair:
     """Long-term transmit and receive covariance of one terminal (0 or 1)."""
     if terminal not in (0, 1):
         raise ValueError("terminal must be 0 or 1")
-    cl = spec.clusters[terminal]
-    sqrtp = np.sqrt(np.asarray(cl.powers))
-    s_tx = ula_steering(cl.departure_deg, spec.tx_antennas)
-    s_rx = ula_steering(cl.arrival_deg, spec.rx_antennas)
+    s_rx, s_tx, powers = _steering_factors(spec, terminal)
+    sqrtp = np.sqrt(powers)
     a_tx = s_tx * sqrtp[None, :]
     a_rx = s_rx * sqrtp[None, :]
     tx_vals, tx_vecs, tx_rank = _eig_from_weighted(a_tx, spec.tx_antennas)
-    rx_vals, rx_vecs, rx_rank = _eig_from_weighted(a_rx, spec.rx_antennas)
+    rx_vals, rx_vecs, _ = _eig_from_weighted(a_rx, spec.rx_antennas)
     return CovariancePair(
         r_tx=a_tx @ a_tx.conj().T,
         r_rx=a_rx @ a_rx.conj().T,
@@ -245,17 +256,21 @@ def covariance(spec: ClusterChannelSpec, terminal: int) -> CovariancePair:
         rx_eigvals=rx_vals,
         rx_eigvecs=rx_vecs,
         tx_rank=tx_rank,
-        rx_rank=rx_rank,
     )
 
 
-def _steering_factors(spec: ClusterChannelSpec, terminal: int):
-    cl = spec.clusters[terminal]
-    return (
-        ula_steering(cl.arrival_deg, spec.rx_antennas),
-        ula_steering(cl.departure_deg, spec.tx_antennas),
-        np.asarray(cl.powers),
-    )
+def _complex_gaussian(rng: np.random.Generator, count: int,
+                      scale: np.ndarray) -> np.ndarray:
+    """count rows of (z0 + 1j z1) * scale, z i.i.d. standard normal."""
+    z = rng.standard_normal((count, 2, scale.size))
+    return (z[:, 0] + 1j * z[:, 1]) * scale
+
+
+def _project(paths, alpha: np.ndarray, span: np.ndarray) -> np.ndarray:
+    """H_k @ span, (count, N, d), for H_k = S_rx diag(alpha_k) S_tx^H."""
+    s_rx, s_tx, _ = paths
+    return np.einsum("ip,kp,pj->kij", s_rx, alpha, s_tx.conj().T @ span,
+                     optimize=True)
 
 
 def draw_channels(spec: ClusterChannelSpec, terminal: int, count: int,
@@ -265,10 +280,9 @@ def draw_channels(spec: ClusterChannelSpec, terminal: int, count: int,
     Each path carries a circularly symmetric complex gain with variance
     equal to its power, so E||H||_F^2 = sum(powers).
     """
-    s_rx, s_tx, powers = _steering_factors(spec, terminal)
-    z = rng.standard_normal((count, 2, powers.size))
-    alpha = (z[:, 0] + 1j * z[:, 1]) * np.sqrt(powers / 2.0)
-    return np.einsum("ip,kp,jp->kij", s_rx, alpha, s_tx.conj(), optimize=True)
+    paths = _steering_factors(spec, terminal)
+    alpha = _complex_gaussian(rng, count, np.sqrt(paths[2] / 2.0))
+    return _project(paths, alpha, np.eye(spec.tx_antennas))
 
 
 def draw_channel(spec: ClusterChannelSpec, terminal: int,
@@ -308,18 +322,17 @@ class Precoder:
 class _PrecoderContext:
     """Static per-terminal quantities shared by every realization.
 
-    null_basis is the interferer's transmit support (None for the
-    interference-free bound); everything else lives in the own-cluster
-    support projected away from it.
+    spans[method] (M x d) is the fixed part of the method's precoder
+    span @ c.  All but interference_free's lie in the own transmit support
+    projected away from the interferer's (None skips the projection).
     """
 
     def __init__(self, own: CovariancePair, other: Optional[CovariancePair]):
         self.u_max = own.u_max
         v = own.tx_support
         lam = own.tx_eigvals[: own.tx_rank]
-        if other is None:
-            projected = v.copy()
-        else:
+        projected = v
+        if other is not None:
             b = other.tx_support
             projected = v - b @ (b.conj().T @ v)
         norms = np.linalg.norm(projected, axis=0)
@@ -328,16 +341,18 @@ class _PrecoderContext:
             raise ValueError(
                 "own covariance support lies entirely in the interferer's span")
         # per-eigenvector unit directions (strongest-SV selection)
-        self.directions = projected[:, keep] / norms[keep]
-        self.dir_eigvals = lam[keep]
+        directions = projected[:, keep] / norms[keep]
         # orthonormal basis of the projected subspace (coherent combining)
-        q, s, _ = np.linalg.svd(projected[:, keep], full_matrices=False)
-        r = int(np.count_nonzero(s > s[0] * max(projected.shape) * np.finfo(float).eps))
-        self.basis = q[:, : max(r, 1)]
+        _, q, r = _eig_from_weighted(projected[:, keep], v.shape[0])
         # fixed non-coherent superposition, sqrt(eigenvalue) amplitudes
         f = projected[:, keep] @ np.sqrt(lam[keep])
-        self.f_ncoh = f / np.linalg.norm(f)
-        self.f_av = self.directions[:, 0]
+        self.spans = {
+            "interference_free": v,
+            "all_sv_coh": q[:, :r],
+            "strongest_sv_inst": directions,
+            "all_sv_ncoh": (f / np.linalg.norm(f))[:, None],
+            "strongest_sv_av": directions[:, :1],
+        }
 
 
 def _top_right_singvec(g: np.ndarray) -> np.ndarray:
@@ -352,29 +367,29 @@ def _top_right_singvec(g: np.ndarray) -> np.ndarray:
     return vh[:, 0, :].conj()
 
 
+def _coefficients(method: str, ctx: _PrecoderContext, g: np.ndarray,
+                  est_noise: Optional[np.ndarray]) -> np.ndarray:
+    """Unit-norm weights (count, d) on the span from g = h @ span."""
+    if method in _COHERENT:
+        return _top_right_singvec(g)
+    if method == "strongest_sv_inst":
+        c = np.einsum("i,kid->kd", ctx.u_max.conj(), g)
+        if est_noise is not None:
+            c = c + est_noise
+        return np.eye(g.shape[2])[np.argmax(np.abs(c), axis=1)]
+    return np.ones((g.shape[0], 1))
+
+
 def _batched_precoders(method: str, ctx: _PrecoderContext, h: np.ndarray,
                        est_noise: Optional[np.ndarray]) -> np.ndarray:
     """Unit-norm weights per realization, shape (count, M)."""
-    count = h.shape[0]
-    if method in ("interference_free", "all_sv_coh"):
-        g = h @ ctx.basis
-        w = _top_right_singvec(g)
-        f = np.einsum("mr,kr->km", ctx.basis, w)
-    elif method == "strongest_sv_inst":
-        c = np.einsum("i,kij,jd->kd", ctx.u_max.conj(), h, ctx.directions,
-                      optimize=True)
-        if est_noise is not None:
-            c = c + est_noise
-        idx = np.argmax(np.abs(c), axis=1)
-        f = ctx.directions[:, idx].T
-    elif method == "all_sv_ncoh":
-        f = np.broadcast_to(ctx.f_ncoh, (count, ctx.f_ncoh.size))
-    elif method == "strongest_sv_av":
-        f = np.broadcast_to(ctx.f_av, (count, ctx.f_av.size))
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    norms = np.linalg.norm(f, axis=1, keepdims=True)
-    return f / norms
+    span = ctx.spans[method]
+    return _coefficients(method, ctx, h @ span, est_noise) @ span.T
+
+
+def _check_noise_std(std: float) -> None:
+    if not (math.isfinite(std) and std >= 0.0):
+        raise ValueError(f"estimation_noise_std must be finite and >= 0, got {std}")
 
 
 def build_precoder(method: str, own_cov: CovariancePair,
@@ -391,21 +406,20 @@ def build_precoder(method: str, own_cov: CovariancePair,
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
-    other = None if method == "interference_free" else other_cov
-    ctx = _PrecoderContext(own_cov, other)
-    needs_csi = method in ("interference_free", "all_sv_coh", "strongest_sv_inst")
-    if needs_csi and csi is None:
+    _check_noise_std(estimation_noise_std)
+    ctx = _PrecoderContext(own_cov, None if method == "interference_free" else other_cov)
+    span = ctx.spans[method]
+    if method not in _NEEDS_CSI:
+        return Precoder(weights=span[:, 0], method=method)
+    if csi is None:
         raise ValueError(f"method {method!r} needs instantaneous CSI")
     noise = None
     if method == "strongest_sv_inst" and estimation_noise_std > 0.0:
         if rng is None:
             raise ValueError("estimation noise requires an rng")
-        z = rng.standard_normal((1, 2, ctx.directions.shape[1]))
-        noise = (z[:, 0] + 1j * z[:, 1]) * (estimation_noise_std / math.sqrt(2.0))
-    h = None if csi is None else np.asarray(csi)[None, :, :]
-    if not needs_csi:
-        h = np.zeros((1, 1, own_cov.r_tx.shape[0]), dtype=complex)
-    f = _batched_precoders(method, ctx, h, noise)[0]
+        noise = _complex_gaussian(
+            rng, 1, np.full(span.shape[1], estimation_noise_std / math.sqrt(2.0)))
+    f = _batched_precoders(method, ctx, np.asarray(csi)[None, :, :], noise)[0]
     return Precoder(weights=f, method=method)
 
 
@@ -467,16 +481,21 @@ def evaluate(
         raise ValueError(f"multiplexing must be 'space' or 'time', got {multiplexing!r}")
     if payload_bits < 1 or slots < 1:
         raise ValueError("payload_bits and slots must be >= 1")
+    _check_noise_std(estimation_noise_std)
     aps = dict(DEFAULT_ATTEMPTS_PER_SLOT)
-    if attempts_per_slot:
-        aps.update(attempts_per_slot)
+    for m, n in (attempts_per_slot or {}).items():
+        if m not in METHODS or not isinstance(n, numbers.Integral) or n < 1:
+            raise ValueError("attempts_per_slot maps known methods to integers "
+                             f">= 1, got {m!r}: {n!r}")
+        aps[m] = n
 
     covs = (covariance(spec, 0), covariance(spec, 1))
-    # context per (terminal role, nulling flag); built once, reused per block.
-    # Only terminal 0 is ever evaluated without nulling.
-    ctx = {(0, True): _PrecoderContext(covs[0], covs[1]),
-           (0, False): _PrecoderContext(covs[0], None),
-           (1, True): _PrecoderContext(covs[1], covs[0])}
+    # built once, reused per block; terminal 1 serves only the cross term
+    ctx = (_PrecoderContext(covs[0], covs[1]), _PrecoderContext(covs[1], covs[0]))
+    paths = (_steering_factors(spec, 0), _steering_factors(spec, 1))
+    gain_scale = [np.sqrt(p[2] / 2.0) for p in paths]
+    noise_scale = np.full(ctx[0].spans["strongest_sv_inst"].shape[1],
+                          estimation_noise_std / math.sqrt(2.0))
 
     total_power = 10.0 ** (rho_db / 10.0)
     spatial = multiplexing == "space"
@@ -485,36 +504,25 @@ def evaluate(
     needs_inst_noise = estimation_noise_std > 0.0 and "strongest_sv_inst" in methods
 
     def block_fn(rng: np.random.Generator, start: int, count: int):
-        h1 = draw_channels(spec, 0, count, rng)
-        h2 = draw_channels(spec, 1, count, rng) if spatial else None
-        est = None
-        if needs_inst_noise:
-            d = ctx[(0, True)].directions.shape[1]
-            z = rng.standard_normal((count, 2, d))
-            est = (z[:, 0] + 1j * z[:, 1]) * (estimation_noise_std / math.sqrt(2.0))
+        # the draw order below is the evaluation stream's layout
+        a1 = _complex_gaussian(rng, count, gain_scale[0])
+        a2 = _complex_gaussian(rng, count, gain_scale[1]) if spatial else None
+        est = _complex_gaussian(rng, count, noise_scale) if needs_inst_noise else None
         sinr = np.empty((count, n_methods))
         for col, method in enumerate(methods):
-            nulling = method != "interference_free"
-            f1 = _batched_precoders(method, ctx[(0, nulling)], h1,
-                                    est if method == "strongest_sv_inst" else None)
-            heff = np.einsum("kij,kj->ki", h1, f1)
-            aggregate_rx = method in ("interference_free", "all_sv_coh", "all_sv_ncoh")
-            if aggregate_rx:
-                sig = np.einsum("ki,ki->k", heff, heff.conj()).real
-            else:
-                u = ctx[(0, True)].u_max
-                sig = np.abs(np.einsum("i,ki->k", u.conj(), heff)) ** 2
+            g1 = _project(paths[0], a1, ctx[0].spans[method])
+            c1 = _coefficients(method, ctx[0], g1,
+                               est if method == "strongest_sv_inst" else None)
+            heff = np.einsum("kid,kd->ki", g1, c1)
+            r = (heff / np.linalg.norm(heff, axis=1, keepdims=True)
+                 if method in _MATCHED_RX else ctx[0].u_max)
+            sig = np.abs(np.sum(r.conj() * heff, axis=1)) ** 2
             interf = 0.0
-            if spatial and nulling:
-                f2 = _batched_precoders(method, ctx[(1, True)], h2, None)
-                cross = np.einsum("kij,kj->ki", h1, f2)
-                if aggregate_rx:
-                    num = np.abs(np.einsum("ki,ki->k", heff.conj(), cross)) ** 2
-                    den = np.maximum(sig, 1e-300)
-                    interf = num / den
-                else:
-                    u = ctx[(0, True)].u_max
-                    interf = np.abs(np.einsum("i,ki->k", u.conj(), cross)) ** 2
+            if spatial and method != "interference_free":
+                span2 = ctx[1].spans[method]
+                c2 = _coefficients(method, ctx[1], _project(paths[1], a2, span2), None)
+                cross = np.einsum("kid,kd->ki", _project(paths[0], a1, span2), c2)
+                interf = np.abs(np.sum(r.conj() * cross, axis=1)) ** 2
             sinr[:, col] = user_power * sig / (user_power * interf + 1.0)
         return (sinr,)
 

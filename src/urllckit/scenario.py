@@ -8,6 +8,7 @@ running the default.
 from __future__ import annotations
 
 import argparse
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional
@@ -100,13 +101,15 @@ def int_field(lo: Optional[int] = None, hi: Optional[int] = None):
 
 def float_field(lo: Optional[float] = None, hi: Optional[float] = None,
                 strict: bool = False):
-    """Float in [lo, hi], or in (lo, hi) when strict.  NaN fails any bound."""
+    """Float in [lo, hi], or in (lo, hi) when strict; never NaN."""
     def float_in_range(s: str) -> float:
         v = float(s)
         if lo is not None and not (v > lo if strict else v >= lo):
             raise ScenarioError(f"must be {'>' if strict else '>='} {lo}, got {v}")
         if hi is not None and not (v < hi if strict else v <= hi):
             raise ScenarioError(f"must be {'<' if strict else '<='} {hi}, got {v}")
+        if math.isnan(v):
+            raise ScenarioError("must be a number, got nan")
         return v
     return float_in_range
 

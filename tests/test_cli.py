@@ -292,13 +292,15 @@ def test_mimo_unknown_scenario_key(tmp_path, capsys):
 
 
 def test_mimo_nan_scenario_value_writes_nothing(tmp_path, capsys):
-    scn = tmp_path / "scn.txt"
-    scn.write_text("spread_deg = nan\n")
-    out = tmp_path / "m.csv"
-    assert run(["mimo", "--scenario", str(scn), "--out", str(out),
-                "--trials", "100"]) == EXIT_USAGE
-    assert not out.exists()
-    assert "spread_deg" in capsys.readouterr().err
+    # rho_db has no bounds, so only the NaN check itself stops it
+    for key in ("spread_deg", "rho_db"):
+        scn = tmp_path / "scn.txt"
+        scn.write_text(f"{key} = nan\n")
+        out = tmp_path / "m.csv"
+        assert run(["mimo", "--scenario", str(scn), "--out", str(out),
+                    "--trials", "100"]) == EXIT_USAGE
+        assert not out.exists()
+        assert key in capsys.readouterr().err
 
 
 def test_mimo_worker_invariant_body(tmp_path, csv_body):

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from urllckit import mimo
 from urllckit.mimo import (
     DEFAULT_ATTEMPTS_PER_SLOT,
     METHODS,
@@ -22,7 +23,7 @@ from urllckit.mimo import (
     random_cluster_spec,
     ula_steering,
 )
-from urllckit.simcore import MonteCarloConfig
+from urllckit.simcore import MonteCarloConfig, SeededStream
 
 ZF_METHODS = tuple(m for m in METHODS if m != "interference_free")
 
@@ -188,6 +189,11 @@ def test_build_precoder_estimation_noise_needs_rng():
                          estimation_noise_std=0.5,
                          rng=np.random.default_rng(4))
     assert np.linalg.norm(pre.weights) == pytest.approx(1.0, abs=1e-9)
+    for std in (-0.5, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            build_precoder("strongest_sv_inst", cov0, cov1, csi=h,
+                           estimation_noise_std=std,
+                           rng=np.random.default_rng(4))
 
 
 def test_precoder_rejects_non_unit_weights():
@@ -310,3 +316,51 @@ def test_evaluate_validation():
         evaluate(spec, ("all_sv_coh",), 0.0, "frequency", mc)
     with pytest.raises(ValueError):
         evaluate(spec, ("all_sv_coh",), 0.0, "space", mc, payload_bits=0)
+    for std in (-1e-3, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            evaluate(spec, ("strongest_sv_inst",), 0.0, "space", mc,
+                     estimation_noise_std=std)
+    for aps in ({"all_sv_coh": -1}, {"all_sv_coh": 0}, {"all_sv_coh": 1.5},
+                {"typo": 2}):
+        with pytest.raises(ValueError):
+            evaluate(spec, ("all_sv_coh",), 0.0, "space", mc,
+                     attempts_per_slot=aps)
+
+
+@pytest.mark.parametrize("multiplexing", ["space", "time"])
+@pytest.mark.parametrize("rx_antennas", [1, 4])
+def test_evaluate_matches_channel_matrix_reference(rx_antennas, multiplexing):
+    # evaluate projects path gains on fixed spans; redraw its first block as
+    # full channel matrices and recompute every SINR from the weights
+    spec = random_cluster_spec(rx_antennas=rx_antennas, paths=4, seed=1)
+    seed, trials, rho_db, std = 6, 1500, 3.0, 0.8
+    ev = evaluate(spec, METHODS, rho_db, multiplexing,
+                  MonteCarloConfig(trials, seed), estimation_noise_std=std)
+    space = multiplexing == "space"
+    rng = SeededStream(seed).derive(mimo._EVAL_TAG, 0).block_generator(0)
+    h1 = draw_channels(spec, 0, trials, rng)
+    h2 = draw_channels(spec, 1, trials, rng) if space else None
+    cov0, cov1 = covariance(spec, 0), covariance(spec, 1)
+    ctx0 = mimo._PrecoderContext(cov0, cov1)
+    ctx1 = mimo._PrecoderContext(cov1, cov0)
+    z = rng.standard_normal(
+        (trials, 2, ctx0.spans["strongest_sv_inst"].shape[1]))
+    est = (z[:, 0] + 1j * z[:, 1]) * (std / math.sqrt(2.0))
+    power = 10.0 ** (rho_db / 10.0) / (2.0 if space else 1.0)
+    for method in METHODS:
+        f1 = mimo._batched_precoders(
+            method, ctx0, h1, est if method == "strongest_sv_inst" else None)
+        heff = np.einsum("kij,kj->ki", h1, f1)
+        matched = method in ("interference_free", "all_sv_coh", "all_sv_ncoh")
+        u = cov0.u_max.conj()
+        sig = (np.sum(np.abs(heff) ** 2, axis=1) if matched
+               else np.abs(heff @ u) ** 2)
+        interf = 0.0
+        if space and method != "interference_free":
+            f2 = mimo._batched_precoders(method, ctx1, h2, None)
+            cross = np.einsum("kij,kj->ki", h1, f2)
+            interf = (np.abs(np.sum(heff.conj() * cross, axis=1)) ** 2 / sig
+                      if matched else np.abs(cross @ u) ** 2)
+        ref = power * sig / (power * interf + 1.0)
+        np.testing.assert_allclose(ev.results[method].sinr, ref,
+                                   rtol=1e-9, atol=0)

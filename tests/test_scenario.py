@@ -98,7 +98,7 @@ def test_float_field_open_lower_bound():
 
 
 def test_float_field_rejects_nan_and_strict_upper_bound():
-    for conv in (float_field(0.0), float_field(None, 1.0),
+    for conv in (float_field(), float_field(0.0), float_field(None, 1.0),
                  float_field(0.0, 1.0, strict=True)):
         with pytest.raises(ValueError):
             conv("nan")
