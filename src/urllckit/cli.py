@@ -175,6 +175,9 @@ def _cmd_framesync_sweep(args, argv) -> int:
 
 # ---- mimo ------------------------------------------------------------------
 
+# strict bounds at -inf and inf let through every finite float and no other
+_finite_float = float_field(-math.inf, math.inf, strict=True)
+
 _MIMO_SCHEMA = {
     "tx_antennas": Field(int_field(1), 100),
     "rx_antennas": Field(int_field(1), 1),
@@ -182,8 +185,8 @@ _MIMO_SCHEMA = {
     "spread_deg": Field(float_field(0.0), 10.0),
     "arrival_spread_deg": Field(float_field(0.0), None),
     "span_db": Field(float_field(0.0), 20.0),
-    "departure_centers_deg": Field(list_field(float, 2), (-6.0, 6.0)),
-    "arrival_centers_deg": Field(list_field(float, 2), (-30.0, 30.0)),
+    "departure_centers_deg": Field(list_field(_finite_float, 2), (-6.0, 6.0)),
+    "arrival_centers_deg": Field(list_field(_finite_float, 2), (-30.0, 30.0)),
     "normalize_power": Field(bool_field(), True),
     "rho_db": Field(float_field(), 0.0),
     "multiplexing": Field(choice_field(("space", "time")), "space"),

@@ -292,10 +292,15 @@ def test_mimo_unknown_scenario_key(tmp_path, capsys):
 
 
 def test_mimo_nan_scenario_value_writes_nothing(tmp_path, capsys):
-    # rho_db has no bounds, so only the NaN check itself stops it
-    for key in ("spread_deg", "rho_db"):
+    # rho_db has no bounds, so only the NaN check itself stops it; the
+    # cluster centers must be finite, or the SVD fails naming no key
+    for key, value in (("spread_deg", "nan"), ("rho_db", "nan"),
+                       ("departure_centers_deg", "nan, 6"),
+                       ("departure_centers_deg", "-6, -inf"),
+                       ("arrival_centers_deg", "inf, 30"),
+                       ("arrival_centers_deg", "-30, nan")):
         scn = tmp_path / "scn.txt"
-        scn.write_text(f"{key} = nan\n")
+        scn.write_text(f"{key} = {value}\n")
         out = tmp_path / "m.csv"
         assert run(["mimo", "--scenario", str(scn), "--out", str(out),
                     "--trials", "100"]) == EXIT_USAGE

@@ -6,7 +6,8 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import gammainc
+from scipy import integrate, stats
+from scipy.special import gammainc, gammaincc
 
 from urllckit.ratesel import (
     BackoffPolicy,
@@ -191,3 +192,39 @@ def test_throughput_ratio_deterministic_and_worker_invariant():
     a = throughput_ratio(sc, pol, 3, mc, workers=1)
     b = throughput_ratio(sc, pol, 3, mc, workers=4)
     assert a == b
+
+
+def _ratio_exact(theta, eps, eps_n, n):
+    """E[log2(1 - th*L) exp(th*L/theta)] / (R_eps(theta) (1 - eps)),
+    th ~ Gamma(n, theta/n), L = log1p(-eps_n): the expected delivered rate
+    given the estimate th, normalized by the genie rate."""
+    log_backoff = math.log1p(-eps_n)
+    law = stats.gamma(n, scale=theta / n)
+    lo, hi = law.ppf(1e-14), law.isf(1e-14)
+    mean, _ = integrate.quad(
+        lambda th: math.log2(1.0 - th * log_backoff)
+        * math.exp(th * log_backoff / theta) * law.pdf(th),
+        lo, hi, points=[theta], limit=200, epsabs=0.0, epsrel=1e-10)
+    return mean / (outage_capacity(theta, eps) * (1.0 - eps))
+
+
+@pytest.mark.parametrize("n", [1, 10, 1000, 100_000])
+@pytest.mark.parametrize("kind", ["ar", "pcr"])
+def test_throughput_ratio_matches_closed_forms(kind, n):
+    # the three audits have exact expectations over th ~ Gamma(n, theta/n)
+    theta, eps, xi, trials = 10.0, 1e-3, 1e-3, 1_000_000
+    pol = BackoffPolicy(kind, eps, xi if kind == "pcr" else None)
+    res = throughput_ratio(RayleighScenario(theta), pol, n,
+                           MonteCarloConfig(trials, 43))
+    eps_n = res.epsilon_n
+
+    mean_outage = ar_outage_sup(n, eps_n)
+    assert abs(res.mean_outage - mean_outage) <= 4.0 * res.mean_outage_se
+
+    viol = gammaincc(n, n * math.log1p(-eps) / math.log1p(-eps_n))
+    sigma = math.sqrt(viol * (1.0 - viol) / trials)
+    assert abs(res.violation_fraction - viol) <= 4.0 * sigma
+
+    ratio = _ratio_exact(theta, eps, eps_n, n)
+    sigma = (res.ci_high - res.ci_low) / (2 * 1.96)
+    assert abs(res.ratio - ratio) <= 4.0 * sigma
