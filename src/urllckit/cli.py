@@ -72,21 +72,27 @@ def _command_comment(argv) -> str:
     return "command: urllckit " + shlex.join(str(a) for a in argv)
 
 
+# strict bounds at -inf and inf let through every finite float and no other
+_finite_float = float_field(-math.inf, math.inf, strict=True)
+
+
 # ---- fbl -------------------------------------------------------------------
 
 def _cmd_fbl_sweep(args, argv) -> int:
     gammas_db = np.linspace(args.gamma0_db_min, args.gamma0_db_max, args.points)
     pkt = fbl.PacketSpec.from_bytes(args.data_bytes, args.metadata_bytes)
-    rows = []
-    any_infeasible = False
-    for g_db in gammas_db:
-        budget = fbl.LinkBudget(10.0 ** (g_db / 10.0), args.b0_hz, args.latency_s)
-        b_joint = fbl.min_bandwidth(budget, pkt, args.eps, "joint")
-        b_sep = fbl.min_bandwidth(budget, pkt, args.eps, "separate")
-        feas_j = math.isfinite(b_joint)
-        feas_s = math.isfinite(b_sep)
-        any_infeasible |= not (feas_j and feas_s)
-        rows.append([float(g_db), b_joint, b_sep, feas_j, feas_s])
+    # 10^(dB/10) point by point: numpy's vectorized power may differ from the
+    # scalar one in the last bit.  An overflow to inf is rejected by LinkBudget.
+    with np.errstate(over="ignore"):
+        gamma0 = np.array([10.0 ** (g_db / 10.0) for g_db in gammas_db])
+    budget = fbl.LinkBudget(gamma0, args.b0_hz, args.latency_s)
+    b_joint = fbl.min_bandwidth(budget, pkt, args.eps, "joint")
+    b_sep = fbl.min_bandwidth(budget, pkt, args.eps, "separate")
+    feas_j = np.isfinite(b_joint)
+    feas_s = np.isfinite(b_sep)
+    any_infeasible = not (feas_j.all() and feas_s.all())
+    rows = [[g_db, bj, bs, bool(fj), bool(fs)]
+            for g_db, bj, bs, fj, fs in zip(gammas_db, b_joint, b_sep, feas_j, feas_s)]
     comments = [
         _command_comment(argv),
         f"seed = {args.seed}",
@@ -174,9 +180,6 @@ def _cmd_framesync_sweep(args, argv) -> int:
 
 
 # ---- mimo ------------------------------------------------------------------
-
-# strict bounds at -inf and inf let through every finite float and no other
-_finite_float = float_field(-math.inf, math.inf, strict=True)
 
 _MIMO_SCHEMA = {
     "tx_antennas": Field(int_field(1), 100),
@@ -320,11 +323,12 @@ def _build_parser() -> _Parser:
                                   parser_class=_Parser)
     p = fbl_sub.add_parser("sweep", parents=[common, outp],
                            help="minimum bandwidth vs reference SNR")
-    p.add_argument("--gamma0-db-min", type=float, default=5.0)
-    p.add_argument("--gamma0-db-max", type=float, default=40.0)
+    p.add_argument("--gamma0-db-min", type=_finite_float, default=5.0)
+    p.add_argument("--gamma0-db-max", type=_finite_float, default=40.0)
     p.add_argument("--points", type=int_field(1), default=20)
-    p.add_argument("--b0-hz", type=float_field(0.0, strict=True), default=1e5)
-    p.add_argument("--latency-s", type=float_field(0.0, strict=True), default=1e-3)
+    p.add_argument("--b0-hz", type=float_field(0.0, math.inf, strict=True), default=1e5)
+    p.add_argument("--latency-s", type=float_field(0.0, math.inf, strict=True),
+                   default=1e-3)
     p.add_argument("--data-bytes", type=int_field(1), default=16)
     p.add_argument("--metadata-bytes", type=int_field(0), default=16)
     p.add_argument("--eps", type=float_field(0.0, 1.0, strict=True), default=1e-5)

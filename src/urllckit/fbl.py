@@ -40,12 +40,19 @@ _CEILING_GUARD = 0.02
 
 _N_MAX = 2 ** 22
 _BRACKET_POINTS = 4096
+# (SNR, blocklength) elements per packet_error call of the bracket scan: a
+# single SNR scans the whole grid at once, many SNRs take narrower chunks
+_SCAN_TILE = _BRACKET_POINTS
 _MODES = ("joint", "separate")
 
 
 @dataclass(frozen=True)
 class LinkBudget:
-    """Reference operating point: SNR gamma0 at bandwidth b0_hz, latency latency_s."""
+    """Reference operating point: SNR gamma0 at bandwidth b0_hz, latency latency_s.
+
+    gamma0 may be an array of reference SNRs sharing b0_hz and latency_s;
+    the functions below then broadcast over it.
+    """
 
     gamma0: float
     b0_hz: float
@@ -53,8 +60,14 @@ class LinkBudget:
 
     def __post_init__(self):
         for name in ("gamma0", "b0_hz", "latency_s"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+            v = np.asarray(getattr(self, name), dtype=float)
+            for ok, what in ((v > 0, "positive"), (np.isfinite(v), "finite")):
+                if not ok.all():
+                    raise ValueError(f"{name} must be {what}, got {v.flat[ok.argmin()]}")
+        with np.errstate(over="ignore"):
+            bits = np.asarray(asymptotic_bits(self))
+        if not np.isfinite(bits).all():
+            raise ValueError("gamma0 * b0_hz * latency_s overflows: asymptotic_bits = inf")
 
     def channel_uses(self, b_hz):
         """Real channel uses available at bandwidth b_hz within the latency."""
@@ -90,7 +103,7 @@ def awgn_params(gamma):
     in squared bits.  V grows from 0 toward log2(e)^2 / 2.
     """
     g = np.asarray(gamma, dtype=float)
-    if np.any(g < 0):
+    if (g < 0).any():
         raise ValueError("SNR must be nonnegative")
     c = 0.5 * np.log2(1.0 + g)
     v = g * (g + 2.0) / (2.0 * (g + 1.0) ** 2) * LOG2E ** 2
@@ -107,10 +120,10 @@ def error_prob(n, gamma, bits):
     on the numerator sign.
     """
     n = np.asarray(n, dtype=float)
-    if np.any(n <= 0):
+    if (n <= 0).any():
         raise ValueError("blocklength must be positive")
     bits = np.asarray(bits, dtype=float)
-    if np.any(bits < 0):
+    if (bits < 0).any():
         raise ValueError("bits must be nonnegative")
     c, v = awgn_params(gamma)
     c = np.asarray(c, dtype=float)
@@ -136,7 +149,10 @@ def snr_at_bandwidth(budget: LinkBudget, b_hz):
 
 
 def asymptotic_bits(budget: LinkBudget) -> float:
-    """Infinite-bandwidth information limit gamma0 * B0 * T * log2(e) in bits."""
+    """Infinite-bandwidth information limit gamma0 * B0 * T * log2(e) in bits.
+
+    An array for an array gamma0.
+    """
     return budget.gamma0 * budget.b0_hz * budget.latency_s * LOG2E
 
 
@@ -149,8 +165,15 @@ def packet_error(budget: LinkBudget, pkt: PacketSpec, n, mode: str = "joint"):
     """
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
+    return _packet_error(budget.gamma0, budget, pkt, n, mode)
+
+
+def _packet_error(gamma0, budget: LinkBudget, pkt: PacketSpec, n, mode: str):
+    # packet_error at reference SNR(s) gamma0 in place of budget.gamma0: the
+    # batched solver passes subsets of a validated gamma0 without building
+    # (and re-validating) a LinkBudget for each
     n = np.asarray(n, dtype=float)
-    gamma = budget.gamma0 * 2.0 * budget.b0_hz * budget.latency_s / n
+    gamma = gamma0 * 2.0 * budget.b0_hz * budget.latency_s / n
     if mode == "joint":
         out = error_prob(n, gamma, pkt.total_bits)
     else:
@@ -166,7 +189,7 @@ def success_probability(budget: LinkBudget, pkt: PacketSpec, n, mode: str = "joi
 
 
 def min_bandwidth(budget: LinkBudget, pkt: PacketSpec, eps_target: float,
-                  mode: str = "joint", *, n_max: int = _N_MAX) -> float:
+                  mode: str = "joint", *, n_max: int = _N_MAX):
     """Smallest bandwidth (Hz) whose packet error is at most eps_target.
 
     Returns math.inf when infeasible: past the analytic ceiling (with a 2%
@@ -176,32 +199,65 @@ def min_bandwidth(budget: LinkBudget, pkt: PacketSpec, eps_target: float,
     error at the returned bandwidth itself is at most eps_target.  Errors
     are compared with eps_target directly, so targets below the
     double-precision spacing of 1 (1e-17, 1e-20) stay distinct.
+
+    A scalar budget.gamma0 returns a float, refined by simcore.bisect's
+    scalar loop.  An array gamma0 returns an array of its shape from one
+    batched solve: all SNRs are scanned together in (SNR x blocklength)
+    tiles, and all brackets are refined by a single elementwise bisect
+    call.  Each element equals the scalar solve at that SNR exactly.
     """
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
     if not 0.0 < eps_target < 1.0:
         raise ValueError(f"eps_target must be in (0, 1), got {eps_target}")
 
+    gamma0 = np.asarray(budget.gamma0, dtype=float)
     ceiling = asymptotic_bits(budget)
     if mode == "joint":
         required, available = pkt.total_bits, ceiling
     else:
         required, available = max(pkt.data_bits, pkt.metadata_bits), ceiling / 2.0
-    if required >= available * (1.0 + _CEILING_GUARD):
-        return math.inf
+    below_ceiling = np.ravel(required < available * (1.0 + _CEILING_GUARD))
 
     grid = np.geomspace(2.0, float(n_max), _BRACKET_POINTS)
-    err = packet_error(budget, pkt, grid, mode)
-    hits = np.nonzero(err <= eps_target)[0]
-    if hits.size == 0:
-        return math.inf
-    idx = int(hits[0])
-    if idx == 0:
-        n_star = grid[0]
-    else:
-        lo, hi = float(grid[idx - 1]), float(grid[idx])
-        n_star = bisect(
-            lambda n: packet_error(budget, pkt, n, mode) - eps_target,
+    rows = np.flatnonzero(below_ceiling)
+    g = gamma0.ravel()[rows]
+    first = _first_hits(g, budget, pkt, eps_target, mode, grid)
+
+    n_star = np.full(gamma0.size, math.inf)
+    n_star[rows[first == 0]] = grid[0]
+    inner = first > 0
+    if inner.any():
+        lo, hi = grid[first[inner] - 1], grid[first[inner]]
+        if gamma0.ndim == 0:
+            lo, hi, g_inner = float(lo[0]), float(hi[0]), budget.gamma0
+        else:
+            g_inner = g[inner]
+        n_star[rows[inner]] = bisect(
+            lambda n: _packet_error(g_inner, budget, pkt, n, mode) - eps_target,
             lo, hi, tol=1e-6 * lo,
         )
-    return n_star / (2.0 * budget.latency_s)
+    b_hz = n_star / (2.0 * budget.latency_s)
+    return float(b_hz[0]) if gamma0.ndim == 0 else b_hz.reshape(gamma0.shape)
+
+
+def _first_hits(gamma0, budget, pkt, eps_target, mode, grid):
+    """Per reference SNR, the first grid index where packet_error <= eps_target.
+
+    -1 where no grid point meets the target.  The grid is scanned in column
+    chunks over the SNRs still without a hit, so the scan stops once every
+    SNR has its first hit.  A chunk holds at most _SCAN_TILE elements, or
+    one column when more SNRs than that are still searching.
+    """
+    first = np.full(gamma0.size, -1)
+    searching = np.arange(gamma0.size)
+    start = 0
+    while searching.size and start < grid.size:
+        width = max(1, _SCAN_TILE // searching.size)
+        cols = grid[start:start + width]
+        hit = _packet_error(gamma0[searching, None], budget, pkt, cols, mode) <= eps_target
+        found = hit.any(axis=1)
+        first[searching[found]] = start + hit[found].argmax(axis=1)
+        searching = searching[~found]
+        start += cols.size
+    return first

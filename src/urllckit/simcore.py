@@ -53,7 +53,7 @@ def q_function(x):
     x = np.asarray(x, dtype=float)
     out = special.ndtr(-x)
     deep = x >= _Q_LOG_SWITCH
-    if np.any(deep):
+    if deep.any():
         out = np.where(deep, np.exp(special.log_ndtr(-x)), out)
     if out.ndim == 0:
         return float(out)
@@ -88,15 +88,28 @@ def union_error(*eps):
     return out
 
 
-def bisect(f: Callable[[float], float], lo: float, hi: float, tol: float = 1e-12,
-           max_iter: int = 200) -> float:
+def bisect(f: Callable, lo, hi, tol=1e-12, max_iter: int = 200):
     """Root of f on [lo, hi] by bisection, to absolute interval width tol.
 
     Returns an exact zero if one is hit, else the end of the final bracket
     where f < 0, never its midpoint: a caller solving f(x) <= 0 gets a point
     that meets its constraint.  Requires a sign change (or an exact zero)
     on the interval; otherwise raises NoBracketError rather than guessing.
+
+    Scalar lo, hi and tol run a plain float loop and return a float.  Any
+    array among them broadcasts the brackets against each other and
+    bisects them all at once: f is then called with an array of that shape
+    and must act elementwise.  Each element walks exactly the midpoints
+    the scalar loop would, so the result equals, element by element, one
+    scalar call per bracket; NoBracketError is raised if any element lacks
+    a sign change.
     """
+    # 0-d inputs take the float loop below, whose steps cost ~1/10 of an
+    # elementwise step; Python floats skip even the np.ndim tests
+    if not (isinstance(lo, float) and isinstance(hi, float) and isinstance(tol, float)):
+        if np.ndim(lo) or np.ndim(hi) or np.ndim(tol):
+            return _bisect_array(f, lo, hi, tol, max_iter)
+        lo, hi, tol = float(lo), float(hi), float(tol)
     if not lo < hi:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
     flo = f(lo)
@@ -119,6 +132,43 @@ def bisect(f: Callable[[float], float], lo: float, hi: float, tol: float = 1e-12
         else:
             hi = mid
     return lo if flo < 0.0 else hi
+
+
+def _bisect_array(f, lo, hi, tol, max_iter):
+    # bisect's elementwise form; each step mirrors one pass of its loop
+    lo, hi, tol = (np.array(a, dtype=float)
+                   for a in np.broadcast_arrays(lo, hi, tol))
+    if not (lo < hi).all():
+        i = np.unravel_index(np.argmin(lo < hi), lo.shape)
+        raise ValueError(f"need lo < hi, got [{lo[i]}, {hi[i]}] at index {i}")
+    flo = np.asarray(f(lo), dtype=float)
+    fhi = np.asarray(f(hi), dtype=float)
+    out = np.where(flo == 0.0, lo, hi)
+    done = (flo == 0.0) | (fhi == 0.0)
+    unbracketed = ~done & (np.copysign(1.0, flo) == np.copysign(1.0, fhi))
+    if unbracketed.any():
+        i = np.unravel_index(np.argmax(unbracketed), lo.shape)
+        raise NoBracketError(f"no bracket at index {i}: f({lo[i]}) = {flo[i]}, "
+                             f"f({hi[i]}) = {fhi[i]}")
+    for _ in range(max_iter):
+        mid = 0.5 * (lo + hi)
+        stop = ~done & ((hi - lo <= tol) | (mid == lo) | (mid == hi))
+        out[stop] = np.where(flo < 0.0, lo, hi)[stop]
+        done |= stop
+        if done.all():
+            return out
+        # finished elements are evaluated too (f sees the whole shape); their
+        # brackets stay put below, so the values are discarded
+        fmid = np.asarray(f(mid), dtype=float)
+        zero = ~done & (fmid == 0.0)
+        out[zero] = mid[zero]
+        done |= zero
+        to_lo = ~done & (np.copysign(1.0, fmid) == np.copysign(1.0, flo))
+        to_hi = ~done & ~to_lo
+        lo = np.where(to_lo, mid, lo)
+        flo = np.where(to_lo, fmid, flo)
+        hi = np.where(to_hi, mid, hi)
+    return np.where(done, out, np.where(flo < 0.0, lo, hi))
 
 
 def _mix64(v: int) -> int:

@@ -48,6 +48,10 @@ def test_invalid_value_rejected(tmp_path, capsys):
     ("fbl sweep", "--eps", "1"),
     ("fbl sweep", "--eps", "nan"),
     ("fbl sweep", "--b0-hz", "0"),
+    ("fbl sweep", "--b0-hz", "inf"),
+    ("fbl sweep", "--latency-s", "inf"),
+    ("fbl sweep", "--gamma0-db-min", "nan"),
+    ("fbl sweep", "--gamma0-db-max", "inf"),
     ("ratesel sweep", "--eps", "0"),
     ("ratesel sweep", "--eps", "1"),
     ("ratesel sweep", "--eps", "nan"),
@@ -74,12 +78,31 @@ _FLAG_REASONS = {
     ("--eps", "1"): "must be < 1.0, got 1.0",
     ("--eps", "nan"): "must be > 0.0, got nan",
     ("--b0-hz", "0"): "must be > 0.0, got 0.0",
+    ("--b0-hz", "inf"): "must be < inf, got inf",
+    ("--latency-s", "inf"): "must be < inf, got inf",
+    ("--gamma0-db-min", "nan"): "must be > -inf, got nan",
+    ("--gamma0-db-max", "inf"): "must be < inf, got inf",
     ("--xi", "1"): "must be < 1.0, got 1.0",
     ("--constraints", "bogus"): "must be one of ('ar', 'pcr'), got 'bogus'",
     ("--n-values", ""): "empty list",
     ("--far-rel", "1.5"): "must be <= 1.0, got 1.5",
     ("--archs", "bogus"): "must be one of ('single', 'dc', 'ifd'), got 'bogus'",
 }
+
+
+@pytest.mark.parametrize("flag,value,reason", [
+    # 1e4 * 1e5 * 1e300 overflows the capacity ceiling, which then never fires
+    ("--latency-s", "1e300", "asymptotic_bits = inf"),
+    # 10^(4000/10) overflows the reference SNR itself
+    ("--gamma0-db-max", "4000", "gamma0 must be finite, got inf"),
+])
+def test_fbl_sweep_overflowing_budget_writes_nothing(tmp_path, capsys, recwarn,
+                                                     flag, value, reason):
+    out = tmp_path / "x.csv"
+    assert run(["fbl", "sweep", "--out", str(out), flag, value]) == EXIT_USAGE
+    assert not out.exists()
+    assert reason in capsys.readouterr().err
+    assert not recwarn.list
 
 
 def test_fbl_sweep_reports_infeasible_points(tmp_path, csv_body):

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from urllckit import fbl
 from urllckit.fbl import (
     LOG2E,
     LinkBudget,
@@ -19,6 +20,7 @@ from urllckit.fbl import (
     snr_at_bandwidth,
     success_probability,
 )
+from urllckit.simcore import bisect
 
 # reference values computed with mpmath at 40 decimal digits
 _CV_REFERENCE = [
@@ -110,6 +112,24 @@ def test_link_budget_validation():
         LinkBudget(0.0, 1e5, 1e-3)
     with pytest.raises(ValueError):
         LinkBudget(1.0, 1e5, 0.0)
+
+
+@pytest.mark.parametrize("fields,message", [
+    ((math.inf, 1e5, 1e-3), "gamma0 must be finite, got inf"),
+    ((math.nan, 1e5, 1e-3), "gamma0 must be positive, got nan"),
+    ((10.0, math.inf, 1e-3), "b0_hz must be finite, got inf"),
+    ((10.0, 1e5, math.inf), "latency_s must be finite, got inf"),
+    ((np.array([1.0, math.inf, 2.0]), 1e5, 1e-3), "gamma0 must be finite, got inf"),
+    ((np.array([1.0, 2.0, math.nan]), 1e5, 1e-3), "gamma0 must be positive, got nan"),
+    ((np.array([[1.0, -2.0]]), 1e5, 1e-3), "gamma0 must be positive, got -2.0"),
+    # each field finite, but gamma0 * B0 * T overflows: the capacity
+    # ceiling would be inf and never fire
+    ((1e4, 1e5, 1e300), "overflows"),
+    ((np.array([10.0, 1e307]), 1e5, 1e-3), "overflows"),
+])
+def test_link_budget_rejects_non_finite_fields(fields, message):
+    with pytest.raises(ValueError, match=message):
+        LinkBudget(*fields)
 
 
 def test_asymptotic_bits_reference():
@@ -230,6 +250,53 @@ def test_min_bandwidth_infeasible_is_inf():
     low = LinkBudget(10.0 ** 0.5, 1e5, 1e-3)
     assert math.isfinite(min_bandwidth(low, PacketSpec(128, 128), 1e-5, "joint"))
     assert min_bandwidth(low, PacketSpec(128, 128), 1e-5, "separate") == math.inf
+
+
+@pytest.mark.parametrize("eps", [1e-5, 1e-17])
+@pytest.mark.parametrize("mode", ["joint", "separate"])
+def test_min_bandwidth_batched_equals_scalar_calls(mode, eps):
+    pkt = PacketSpec(8, 8)
+    gammas = np.geomspace(1e-3, 1e9, 49)
+    batched = min_bandwidth(LinkBudget(gammas, 1e5, 1e-3), pkt, eps, mode)
+    scalar = [min_bandwidth(LinkBudget(float(g), 1e5, 1e-3), pkt, eps, mode)
+              for g in gammas]
+    assert isinstance(batched, np.ndarray) and batched.shape == gammas.shape
+    assert batched.tolist() == scalar
+    # the rows cover every way a solve ends
+    required = pkt.total_bits if mode == "joint" else pkt.metadata_bits
+    available = asymptotic_bits(LinkBudget(gammas, 1e5, 1e-3))
+    if mode == "separate":
+        available = available / 2.0
+    ceiling = required >= available * 1.02
+    floor = 2.0 / (2.0 * 1e-3)           # the grid's first point, n = 2
+    assert np.any(ceiling) and np.all(np.isinf(batched[ceiling]))
+    assert np.any(np.isinf(batched) & ~ceiling)        # no n up to n_max
+    assert np.any(batched == floor)                     # first hit at n = 2
+    assert np.any(np.isfinite(batched) & (batched > floor))   # bisected
+
+
+def test_min_bandwidth_result_shape_follows_gamma0():
+    pkt = PacketSpec(128, 128)
+    one = min_bandwidth(LinkBudget(100.0, 1e5, 1e-3), pkt, 1e-9)
+    assert type(one) is float
+    assert type(min_bandwidth(LinkBudget(np.float64(100.0), 1e5, 1e-3), pkt, 1e-9)) is float
+    grid = min_bandwidth(LinkBudget(np.full((2, 3), 100.0), 1e5, 1e-3), pkt, 1e-9)
+    assert grid.shape == (2, 3)
+    assert np.all(grid == one)
+    assert type(min_bandwidth(LinkBudget(0.01, 1e5, 1e-3), pkt, 1e-9)) is float
+
+
+def test_min_bandwidth_scalar_gamma0_takes_the_float_loop(monkeypatch):
+    # a scalar solve refines one bracket; simcore.bisect's float loop does
+    # that several times faster than its elementwise form
+    seen = []
+
+    def spy(f, lo, hi, **kw):
+        seen.append((type(lo), type(hi), type(kw["tol"])))
+        return bisect(f, lo, hi, **kw)
+    monkeypatch.setattr(fbl, "bisect", spy)
+    min_bandwidth(LinkBudget(100.0, 1e5, 1e-3), PacketSpec(128, 128), 1e-9)
+    assert seen == [(float, float, float)]
 
 
 def test_min_bandwidth_validation():

@@ -120,34 +120,98 @@ def test_union_error_edges_and_arrays():
     assert union_error(a, a) == pytest.approx([2e-17, 0.75, 1.0], rel=1e-15, abs=0)
 
 
+def _bisect_as(form, f, lo, hi, **kw):
+    """bisect on one bracket, given as scalars or as a 3-element array.
+
+    The array form must return three equal elements; either form returns
+    its result as a float.
+    """
+    if form == "scalar":
+        out = bisect(f, lo, hi, **kw)
+        assert type(out) is float
+        return out
+    out = bisect(f, np.full(3, lo), np.full(3, hi),
+                 **{k: np.full(3, v) for k, v in kw.items()})
+    assert out.shape == (3,) and np.all(out == out[0])
+    return float(out[0])
+
+
+_FORMS = ("scalar", "array")
+
+
 def test_bisect_sqrt2():
-    root = bisect(lambda x: x * x - 2.0, 1.0, 2.0, tol=1e-12)
-    assert abs(root - math.sqrt(2.0)) < 1e-11
+    for form in _FORMS:
+        root = _bisect_as(form, lambda x: x * x - 2.0, 1.0, 2.0, tol=1e-12)
+        assert abs(root - math.sqrt(2.0)) < 1e-11
 
 
 def test_bisect_returns_the_end_meeting_the_constraint():
     # f <= 0 holds at the result whichever way f runs through its root
-    up = bisect(lambda x: x * x - 2.0, 1.0, 2.0, tol=1e-9)
-    down = bisect(lambda x: 2.0 - x * x, 1.0, 2.0, tol=1e-9)
-    assert up * up - 2.0 < 0.0 < down * down - 2.0
-    assert up < math.sqrt(2.0) < down
-    assert down - up <= 1e-9
+    for form in _FORMS:
+        up = _bisect_as(form, lambda x: x * x - 2.0, 1.0, 2.0, tol=1e-9)
+        down = _bisect_as(form, lambda x: 2.0 - x * x, 1.0, 2.0, tol=1e-9)
+        assert up * up - 2.0 < 0.0 < down * down - 2.0
+        assert up < math.sqrt(2.0) < down
+        assert down - up <= 1e-9
 
 
 def test_bisect_exact_zero_endpoints():
-    assert bisect(lambda x: x - 1.0, 1.0, 2.0) == 1.0
-    assert bisect(lambda x: x - 2.0, 1.0, 2.0) == 2.0
+    for form in _FORMS:
+        assert _bisect_as(form, lambda x: x - 1.0, 1.0, 2.0) == 1.0
+        assert _bisect_as(form, lambda x: x - 2.0, 1.0, 2.0) == 2.0
 
 
 def test_bisect_exact_zero_midpoint():
-    assert bisect(lambda x: x, -2.0, 2.0) == 0.0
+    for form in _FORMS:
+        assert _bisect_as(form, lambda x: x, -2.0, 2.0) == 0.0
 
 
 def test_bisect_no_bracket():
-    with pytest.raises(NoBracketError):
-        bisect(lambda x: x * x + 1.0, -1.0, 1.0)
-    with pytest.raises(ValueError):
-        bisect(lambda x: x, 2.0, 1.0)
+    for form in _FORMS:
+        with pytest.raises(NoBracketError):
+            _bisect_as(form, lambda x: x * x + 1.0, -1.0, 1.0)
+        with pytest.raises(ValueError):
+            _bisect_as(form, lambda x: x, 2.0, 1.0)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["increasing", "decreasing"])
+def test_bisect_array_equals_the_scalar_loop_per_element(sign):
+    # roots sqrt(c) on brackets of different widths and tolerances: one
+    # tolerance wider than the bracket, one met exactly after two halvings,
+    # and one at 0 (bisect to adjacent floats)
+    c = np.array([2.0, 3.0, 5.0, 7.0, 0.5, 10.0, 0.3])
+    lo = np.array([1.0, 1.5, 0.0, 2.5, 0.1, 3.0, 0.0])
+    hi = np.array([2.0, 2.0, 3.0, 2.75, 1.0, 4.0, 1.0])
+    tol = np.array([1e-12, 1e-3, 0.0, 1.0, 1e-6, 1e-9, 0.25])
+    got = bisect(lambda x: sign * (x * x - c), lo, hi, tol=tol)
+    for i in range(c.size):
+        want = bisect(lambda x: sign * (x * x - c[i]), lo[i], hi[i], tol=tol[i])
+        assert got[i] == want, i
+
+
+def test_bisect_array_exact_zeros_per_element():
+    # zero at lo, zero at hi, zero at the first midpoint, and a plain root
+    lo = np.array([1.0, 0.0, -2.0, 1.0])
+    hi = np.array([2.0, 1.0, 2.0, 2.0])
+    roots = np.array([1.0, 1.0, 0.0, math.sqrt(2.0)])
+    got = bisect(lambda x: x - roots, lo, hi, tol=1e-12)
+    assert got.tolist()[:3] == [1.0, 1.0, 0.0]
+    assert got[3] == bisect(lambda x: x - roots[3], 1.0, 2.0, tol=1e-12)
+
+
+def test_bisect_array_one_unbracketed_element_raises():
+    c = np.array([2.0, -1.0, 3.0])   # x*x - (-1) > 0 on the whole bracket
+    with pytest.raises(NoBracketError, match="index"):
+        bisect(lambda x: x * x - c, np.ones(3), np.full(3, 2.0))
+
+
+def test_bisect_broadcasts_scalar_ends_against_an_array():
+    c = np.array([1.5, 2.0, 3.5])
+    tol = np.array([1e-9, 1e-3, 0.0])
+    got = bisect(lambda x: x * x - c, 1.0, 2.0, tol=tol)
+    assert got.shape == (3,)
+    for i in range(3):
+        assert got[i] == bisect(lambda x: x * x - c[i], 1.0, 2.0, tol=tol[i])
 
 
 def test_seeded_stream_reproducible():
