@@ -69,6 +69,19 @@ class LinkBudget:
         if not np.isfinite(bits).all():
             raise ValueError("gamma0 * b0_hz * latency_s overflows: asymptotic_bits = inf")
 
+    def __eq__(self, other):
+        # value equality per field, also for an array gamma0
+        if not isinstance(other, LinkBudget):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f), getattr(other, f))
+                   for f in ("gamma0", "b0_hz", "latency_s"))
+
+    def __hash__(self):
+        # equal under np.array_equal means equal shape and equal values,
+        # and Python hashes equal numbers alike whatever their type
+        return hash(tuple((np.shape(v), tuple(np.ravel(v).tolist()))
+                          for v in (self.gamma0, self.b0_hz, self.latency_s)))
+
     def channel_uses(self, b_hz):
         """Real channel uses available at bandwidth b_hz within the latency."""
         return 2.0 * np.asarray(b_hz, dtype=float) * self.latency_s
@@ -177,9 +190,11 @@ def _packet_error(gamma0, budget: LinkBudget, pkt: PacketSpec, n, mode: str):
     if mode == "joint":
         out = error_prob(n, gamma, pkt.total_bits)
     else:
-        half = n / 2.0
-        out = union_error(error_prob(half, gamma, pkt.metadata_bits),
-                          error_prob(half, gamma, pkt.data_bits))
+        # metadata and data stacked on a leading axis: one error_prob call,
+        # so awgn_params runs once per per-use SNR
+        bits = np.reshape([pkt.metadata_bits, pkt.data_bits], (2,) + (1,) * gamma.ndim)
+        meta, data = error_prob(n / 2.0, gamma, bits)
+        out = union_error(meta, data)
     return float(out) if np.ndim(out) == 0 else out
 
 

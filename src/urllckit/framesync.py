@@ -16,6 +16,13 @@ payload bit is two dense transfer matrices over the automaton states: one
 moves mass that completes no match, one row collects the mass that does
 and shifts it up one count.  The marker search scores each distinct word
 once per call.
+
+The Monte-Carlo detector checks the bound.  Without noise it needs no
+correlation at all: offset 0 correlates to exactly m, the most any offset
+can reach, and another offset ties it exactly when its window equals the
+marker.  So the tied peaks are offset 0 plus the C reproductions, and the
+detector counts C by running the same prefix automaton over the drawn
+payload a byte at a time.
 """
 
 from __future__ import annotations
@@ -264,6 +271,44 @@ def search_marker(n_bits: int, payload_bits: int, budget: int = 2048,
     return best
 
 
+def _reproduction_counter(marker: Marker):
+    """Counter of the marker reproductions C in each row of a 0/1 payload array.
+
+    The returned function maps a (trials, n) integer array of payload bits
+    to the per-row count of offsets 1..n whose window equals the marker.
+    Every row starts the prefix automaton in the full-match state (the
+    marker was just read) and steps it through np.packbits bytes with two
+    (m+1) x 256 tables built here: the state after the byte and the matches
+    completed inside it.  The n mod 8 leftover bits step one at a time.
+    """
+    m = len(marker)
+    delta = _prefix_automaton(marker.bits)
+    byte = np.arange(256)
+    after = np.repeat(np.arange(m + 1)[:, None], 256, axis=1)
+    hits = np.zeros((m + 1, 256), dtype=np.intp)
+    for k in range(7, -1, -1):  # packbits puts the first bit in the high bit
+        after = delta[after, (byte >> k) & 1]
+        hits += after == m
+    after, hits = after.ravel(), hits.ravel()
+
+    def count(payload: np.ndarray) -> np.ndarray:
+        rows, n = payload.shape
+        whole = n - n % 8
+        state = np.full(rows, m, dtype=np.intp)
+        c = np.zeros(rows, dtype=np.intp)
+        packed = np.ascontiguousarray(np.packbits(payload[:, :whole], axis=1).T)
+        for col in packed:
+            ix = state * 256 + col
+            c += hits[ix]
+            state = after[ix]
+        for col in payload[:, whole:].T:
+            state = delta[state, col]
+            c += state == m
+        return c
+
+    return count
+
+
 def simulate_sync(marker: Marker, payload_bits: int, snr_db,
                   mc: MonteCarloConfig, workers: int = 1) -> float:
     """Monte-Carlo correct-sync probability of the correlation detector.
@@ -271,35 +316,49 @@ def simulate_sync(marker: Marker, payload_bits: int, snr_db,
     BPSK packet, sliding correlation over the in-packet offsets 0..payload
     (no samples outside the packet), argmax with uniform tie breaking.
     snr_db = None means noiseless reception, where the estimate converges
-    to the p_ub bound exactly.
+    to the p_ub bound exactly: offset 0 then correlates to m, which no
+    offset can exceed, and an offset ties it exactly when its window
+    reproduces the marker.  The ties are therefore 1 + C, and the
+    noiseless path counts C from the drawn bits without building the
+    packet or its correlations.
     """
     m = len(marker)
     n = payload_bits
     if n < 0:
         raise ValueError("payload_bits must be nonnegative")
-    msym = marker.symbols()
-    sigma = None if snr_db is None else 10.0 ** (-float(snr_db) / 20.0)
+    # the block layout and draws of both paths are the same, so the
+    # noiseless estimate equals the correlation detector's bit for bit
     block = max(1, _SIM_BLOCK_ELEMS // max(m + n, 1))
 
-    def block_fn(rng: np.random.Generator, start: int, count: int):
-        packet = np.empty((count, m + n))
-        packet[:, :m] = msym
-        if n:
-            # antipodal 1 - 2*bits built in place; the draws die right away
-            np.multiply(rng.integers(0, 2, size=(count, n)), -2.0, out=packet[:, m:])
-            packet[:, m:] += 1.0
-        if sigma is not None:
+    if snr_db is None:
+        count_reproductions = _reproduction_counter(marker)
+
+        def block_fn(rng: np.random.Generator, start: int, count: int):
+            ties = 1 + count_reproductions(rng.integers(0, 2, size=(count, n)))
+            u = rng.random(count)
+            return (np.count_nonzero(u * ties < 1.0),)
+    else:
+        msym = marker.symbols()
+        sigma = 10.0 ** (-float(snr_db) / 20.0)
+
+        def block_fn(rng: np.random.Generator, start: int, count: int):
+            packet = np.empty((count, m + n))
+            packet[:, :m] = msym
+            if n:
+                # antipodal 1 - 2*bits built in place; the draws die right away
+                np.multiply(rng.integers(0, 2, size=(count, n)), -2.0, out=packet[:, m:])
+                packet[:, m:] += 1.0
             packet += rng.normal(0.0, sigma, packet.shape)
-        corr = np.empty((count, n + 1))
-        for j in range(n + 1):
-            corr[:, j] = packet[:, j:j + m] @ msym
-        peak = corr.max(axis=1)
-        ties = (corr == peak[:, None]).sum(axis=1)
-        at_true = corr[:, 0] == peak
-        # uniform pick among tied peaks: the true offset wins w.p. 1/ties
-        u = rng.random(count)
-        wins = at_true & (u * ties < 1.0)
-        return (wins.sum(),)
+            corr = np.empty((count, n + 1))
+            for j in range(n + 1):
+                corr[:, j] = packet[:, j:j + m] @ msym
+            peak = corr.max(axis=1)
+            ties = (corr == peak[:, None]).sum(axis=1)
+            at_true = corr[:, 0] == peak
+            # uniform pick among tied peaks: the true offset wins w.p. 1/ties
+            u = rng.random(count)
+            wins = at_true & (u * ties < 1.0)
+            return (wins.sum(),)
 
     stream = SeededStream(mc.master_seed).derive(_SIM_TAG, m, n)
     (wins,) = run_monte_carlo(mc.trials, block, stream, block_fn, workers=workers)

@@ -20,7 +20,7 @@ from urllckit.fbl import (
     snr_at_bandwidth,
     success_probability,
 )
-from urllckit.simcore import bisect
+from urllckit.simcore import bisect, union_error
 
 # reference values computed with mpmath at 40 decimal digits
 _CV_REFERENCE = [
@@ -193,6 +193,41 @@ def test_packet_error_is_the_complement_of_success():
     for mode in ("joint", "separate"):
         assert success_probability(budget, pkt, n, mode) == pytest.approx(
             1.0 - packet_error(budget, pkt, n, mode), rel=1e-15)
+
+
+@pytest.mark.parametrize("pkt", [PacketSpec(128, 128), PacketSpec(256, 64),
+                                 PacketSpec(32, 0), PacketSpec(0, 8)])
+@pytest.mark.parametrize("gamma0,n", [
+    (10.0, 4000.0),
+    (10.0, np.geomspace(2.0, 2.0 ** 22, 64)),
+    (np.geomspace(3.0, 1e4, 5)[:, None], np.geomspace(2.0, 2.0 ** 22, 64)),
+])
+def test_separate_packet_error_equals_two_error_prob_calls(gamma0, n, pkt):
+    # one broadcast error_prob over (metadata, data) against one call per part
+    budget = LinkBudget(gamma0, 1e5, 1e-3)
+    gamma = gamma0 * 2.0 * 1e5 * 1e-3 / np.asarray(n)
+    expected = union_error(error_prob(np.asarray(n) / 2.0, gamma, pkt.metadata_bits),
+                           error_prob(np.asarray(n) / 2.0, gamma, pkt.data_bits))
+    got = packet_error(budget, pkt, n, "separate")
+    assert np.array_equal(got, expected)
+    if np.ndim(expected) == 0:
+        assert type(got) is float
+
+
+def test_link_budget_value_equality_and_hash():
+    gammas = np.array([1.0, 10.0, 100.0])
+    a = LinkBudget(gammas, 1e5, 1e-3)
+    b = LinkBudget(gammas.copy(), 1e5, 1e-3)
+    assert a == b and hash(a) == hash(b)
+    assert a != LinkBudget(np.array([1.0, 10.0, 99.0]), 1e5, 1e-3)
+    assert a != LinkBudget(gammas, 2e5, 1e-3)
+    assert a != LinkBudget(gammas[:, None], 1e5, 1e-3)
+    assert a != LinkBudget(10.0, 1e5, 1e-3)
+    assert LinkBudget(10.0, 1e5, 1e-3) == LinkBudget(10, 100000, 1e-3)
+    assert hash(LinkBudget(10.0, 1e5, 1e-3)) == hash(LinkBudget(10, 100000, 1e-3))
+    assert LinkBudget(np.array(10.0), 1e5, 1e-3) == LinkBudget(10.0, 1e5, 1e-3)
+    assert a != "budget"
+    assert len({a, b, LinkBudget(10.0, 1e5, 1e-3)}) == 2
 
 
 @pytest.mark.parametrize("mode", ["joint", "separate"])

@@ -198,6 +198,45 @@ def test_search_marker_validation():
         search_marker(4, 8, budget=0)
 
 
+def correlation_ties(marker: Marker, payload: np.ndarray) -> np.ndarray:
+    """Tied correlation peaks per trial, from the packet as the detector builds it.
+
+    The noiseless correlation block of the detector: the BPSK packet, the
+    correlation at every in-packet offset, its peak and the count of
+    offsets at the peak.  Offset 0 must be among them.
+    """
+    m = len(marker)
+    count, n = payload.shape
+    msym = marker.symbols()
+    packet = np.empty((count, m + n))
+    packet[:, :m] = msym
+    packet[:, m:] = 1.0 - 2.0 * payload
+    corr = np.empty((count, n + 1))
+    for j in range(n + 1):
+        corr[:, j] = packet[:, j:j + m] @ msym
+    peak = corr.max(axis=1)
+    assert (corr[:, 0] == peak).all()
+    return (corr == peak[:, None]).sum(axis=1)
+
+
+@pytest.mark.parametrize("bits", [
+    "1", "0000", "1010", "110", "000001111111101010011101",
+])
+@pytest.mark.parametrize("payload_bits", [0, 3, 5, 8, 13, 40])
+def test_reproduction_count_equals_detector_ties(bits, payload_bits):
+    # n % 8 != 0, n < 8, n = 0, and m > n for the longer markers
+    marker = Marker.from_string(bits)
+    rng = np.random.default_rng(len(bits) * 100 + payload_bits)
+    # mostly-zero and mostly-one rows make the periodic markers recur often
+    payload = np.concatenate([
+        rng.integers(0, 2, size=(3000, payload_bits)),
+        (rng.random((500, payload_bits)) < 0.1).astype(np.int64),
+        (rng.random((500, payload_bits)) < 0.9).astype(np.int64),
+    ])
+    counts = framesync._reproduction_counter(marker)(payload)
+    assert np.array_equal(1 + counts, correlation_ties(marker, payload))
+
+
 def test_simulate_sync_noiseless_matches_bound():
     marker = Marker.from_string("1010")
     dist = occurrence_distribution(marker, 8)
@@ -240,3 +279,18 @@ def test_simulate_sync_golden(workers):
     mc = MonteCarloConfig(20_000, 2)
     assert simulate_sync(marker, 256, 3.0, mc, workers=workers) == 0.95895
     assert simulate_sync(marker, 256, None, mc, workers=workers) == 1.0
+
+
+# noiseless goldens where the marker often recurs, so the estimate is far
+# from 1 and carries the count; computed with the correlation detector
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("bits,payload_bits,trials,expected", [
+    ("1010", 8, 20_000, 0.7617),
+    ("1010", 13, 20_000, 0.66815),
+    ("0000", 64, 20_000, 0.26375),
+    ("110", 300, 40_000, 0.0262),  # three blocks
+])
+def test_simulate_sync_noiseless_golden(bits, payload_bits, trials, expected, workers):
+    mc = MonteCarloConfig(trials, 2)
+    marker = Marker.from_string(bits)
+    assert simulate_sync(marker, payload_bits, None, mc, workers=workers) == expected
