@@ -24,7 +24,7 @@ SLOTS = 4
 
 def _table(title: str, spec, rho_db: float) -> None:
     ev = evaluate(spec, METHODS, rho_db, "space",
-                  MonteCarloConfig(TRIALS, master_seed=3), slots=SLOTS, workers=4)
+                  MonteCarloConfig(TRIALS, master_seed=3), slots=SLOTS)
     print(f"\n{title} (rho = {rho_db:g} dB, {TRIALS} trials)")
     print(f"{'method':<18} {'att/slot':>8} {'mean SINR [dB]':>14} "
           f"{'PER after %d slots' % SLOTS:>19}")

@@ -217,7 +217,7 @@ def _cmd_mimo(args, argv) -> int:
     ev = mimo.evaluate(
         spec, cfg["methods"], cfg["rho_db"], cfg["multiplexing"], mc,
         payload_bits=cfg["payload_bits"], slots=cfg["slots"],
-        estimation_noise_std=cfg["estimation_noise_std"], workers=args.workers)
+        estimation_noise_std=cfg["estimation_noise_std"])
 
     comments = [
         _command_comment(argv),
@@ -310,7 +310,8 @@ def _build_parser() -> _Parser:
     common.add_argument("--trials", type=int_field(1), default=100_000,
                         help="Monte-Carlo trial count where applicable")
     common.add_argument("--workers", type=int_field(1), default=1,
-                        help="Monte-Carlo fan-out; never changes results")
+                        help="Monte-Carlo fan-out; never changes results "
+                             "(mimo runs on one thread and ignores it)")
     outp = argparse.ArgumentParser(add_help=False)
     outp.add_argument("--out", required=True, help="output CSV path")
 

@@ -20,8 +20,15 @@ and that is where the methods differ:
 
 Each precoder is a fixed span from the covariances times per-realization
 coefficients (dominant right singular vector, one-hot pick, or 1).  As
-H = S_rx diag(alpha) S_tx^H, evaluate projects the path gains alpha on each
-span and never forms a channel matrix or a full precoder per realization.
+H = S_rx diag(alpha) S_tx^H, the projection H @ span is linear in the path
+gains alpha: evaluate builds each span's map from alpha once per call, so a
+block's projection is one GEMM, and it never forms a channel matrix or a
+full precoder per realization.  The dominant singular pair comes from the
+top eigenpair of the smaller Gram matrix (g g^H or g^H g, min(N, d)
+square); the coherent methods need only its eigenvalue sigma_max^2 and, for
+the matched filter, the left vector, so evaluate never forms their
+weights.  Blocks run on the calling thread: a block is a few milliseconds
+of small batched LAPACK calls, too little to pay for a thread pool.
 
 Receivers: methods transmitting across all eigenvectors use a matched
 filter on the aggregate effective channel; the strongest-vector methods
@@ -141,8 +148,11 @@ class ClusterChannelSpec:
     clusters: tuple
 
     def __post_init__(self):
-        if self.tx_antennas < 1 or self.rx_antennas < 1:
-            raise ValueError("antenna counts must be >= 1")
+        for name in ("tx_antennas", "rx_antennas"):
+            n = getattr(self, name)
+            if not isinstance(n, numbers.Integral) or n < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {n!r}")
+            object.__setattr__(self, name, int(n))
         if len(self.clusters) != 2:
             raise ValueError("exactly two terminals expected")
         for c in self.clusters:
@@ -266,11 +276,20 @@ def _complex_gaussian(rng: np.random.Generator, count: int,
     return (z[:, 0] + 1j * z[:, 1]) * scale
 
 
-def _project(paths, alpha: np.ndarray, span: np.ndarray) -> np.ndarray:
-    """H_k @ span, (count, N, d), for H_k = S_rx diag(alpha_k) S_tx^H."""
+def _gain_map(paths, span: np.ndarray) -> np.ndarray:
+    """Map W, (P, N*d), from path gains to projections on span.
+
+    For H = S_rx diag(alpha) S_tx^H, H @ span = sum_p alpha_p S_rx[:, p]
+    (S_tx^H span)[p, :], so W[p] = S_rx[:, p] outer (S_tx^H span)[p, :].
+    """
     s_rx, s_tx, _ = paths
-    return np.einsum("ip,kp,pj->kij", s_rx, alpha, s_tx.conj().T @ span,
-                     optimize=True)
+    t = s_tx.conj().T @ span
+    return (s_rx.T[:, :, None] * t[:, None, :]).reshape(t.shape[0], -1)
+
+
+def _project(alpha: np.ndarray, gain_map: np.ndarray, n_rx: int) -> np.ndarray:
+    """H_k @ span for every row alpha_k, (count, N, d), as one GEMM."""
+    return (alpha @ gain_map).reshape(alpha.shape[0], n_rx, -1)
 
 
 def draw_channels(spec: ClusterChannelSpec, terminal: int, count: int,
@@ -282,7 +301,8 @@ def draw_channels(spec: ClusterChannelSpec, terminal: int, count: int,
     """
     paths = _steering_factors(spec, terminal)
     alpha = _complex_gaussian(rng, count, np.sqrt(paths[2] / 2.0))
-    return _project(paths, alpha, np.eye(spec.tx_antennas))
+    return _project(alpha, _gain_map(paths, np.eye(spec.tx_antennas)),
+                    spec.rx_antennas)
 
 
 def draw_channel(spec: ClusterChannelSpec, terminal: int,
@@ -355,23 +375,40 @@ class _PrecoderContext:
         }
 
 
-def _top_right_singvec(g: np.ndarray) -> np.ndarray:
-    """Right singular vectors of the dominant singular value, batched.
+def _top_singular(g: np.ndarray, side: Optional[str] = None):
+    """sigma_max^2 of g and, if side is 'left' or 'right', its unit
+    singular vector on that side, batched.
 
-    g has shape (count, N, r); returns (count, r) unit vectors.
+    g has shape (count, N, d); returns (lam (count,), vector or None), the
+    vector of shape (count, N) on the left or (count, d) on the right.
+    Only the smaller Gram matrix is decomposed: g g^H when N <= d, else
+    g^H g.  The other side follows as g^H u / ||g^H u|| or g c / ||g c||.
+    Under a tie any unit vector of the tied singular subspace is returned.
     """
-    if g.shape[1] == 1:
-        w = g[:, 0, :].conj()
-        return w / np.linalg.norm(w, axis=1, keepdims=True)
-    _, _, vh = np.linalg.svd(g, full_matrices=False)
-    return vh[:, 0, :].conj()
+    gh = g.conj().swapaxes(1, 2)
+    on_left = g.shape[1] <= g.shape[2]
+    a, b = (g, gh) if on_left else (gh, g)
+    gram = a @ b
+    if gram.shape[1] == 1:
+        lam, vec = gram[:, 0, 0].real, np.ones((g.shape[0], 1))
+    elif side is None:
+        return np.linalg.eigvalsh(gram)[:, -1], None
+    else:
+        w, v = np.linalg.eigh(gram)
+        lam, vec = w[:, -1], v[:, :, -1]
+    if side is None:
+        return lam, None
+    if on_left == (side == "left"):
+        return lam, vec
+    x = (b @ vec[:, :, None])[:, :, 0]
+    return lam, x / np.linalg.norm(x, axis=1, keepdims=True)
 
 
 def _coefficients(method: str, ctx: _PrecoderContext, g: np.ndarray,
                   est_noise: Optional[np.ndarray]) -> np.ndarray:
     """Unit-norm weights (count, d) on the span from g = h @ span."""
     if method in _COHERENT:
-        return _top_right_singvec(g)
+        return _top_singular(g, "right")[1]
     if method == "strongest_sv_inst":
         c = np.einsum("i,kid->kd", ctx.u_max.conj(), g)
         if est_noise is not None:
@@ -462,7 +499,6 @@ def evaluate(
     slots: int = 10,
     attempts_per_slot: Optional[dict] = None,
     estimation_noise_std: float = 0.0,
-    workers: int = 1,
 ) -> MimoEvaluation:
     """Monte-Carlo SINR and PER-vs-slot for terminal 0 under each method.
 
@@ -471,7 +507,8 @@ def evaluate(
     in the SINR; time multiplexing gives the active user full power but
     only every other slot.  Uncoded BPSK over payload_bits gives the
     per-attempt PER, and slots multiply independent delivery opportunities
-    (two per slot for methods that skip full CSI training).
+    (two per slot for methods that skip full CSI training).  The blocks
+    run on the calling thread.
     """
     methods = tuple(methods)
     for m in methods:
@@ -479,8 +516,11 @@ def evaluate(
             raise ValueError(f"unknown method {m!r}")
     if multiplexing not in ("space", "time"):
         raise ValueError(f"multiplexing must be 'space' or 'time', got {multiplexing!r}")
-    if payload_bits < 1 or slots < 1:
-        raise ValueError("payload_bits and slots must be >= 1")
+    if not math.isfinite(rho_db):
+        raise ValueError(f"rho_db must be finite, got {rho_db!r}")
+    for name, n in (("payload_bits", payload_bits), ("slots", slots)):
+        if not isinstance(n, numbers.Integral) or n < 1:
+            raise ValueError(f"{name} must be an integer >= 1, got {n!r}")
     _check_noise_std(estimation_noise_std)
     aps = dict(DEFAULT_ATTEMPTS_PER_SLOT)
     for m, n in (attempts_per_slot or {}).items():
@@ -494,6 +534,12 @@ def evaluate(
     ctx = (_PrecoderContext(covs[0], covs[1]), _PrecoderContext(covs[1], covs[0]))
     paths = (_steering_factors(spec, 0), _steering_factors(spec, 1))
     gain_scale = [np.sqrt(p[2] / 2.0) for p in paths]
+    # per method: terminal 0 on its span, terminal 1 on its span, and the
+    # cross term (terminal 0's paths on terminal 1's span)
+    maps = {m: (_gain_map(paths[0], ctx[0].spans[m]),
+                _gain_map(paths[1], ctx[1].spans[m]),
+                _gain_map(paths[0], ctx[1].spans[m])) for m in methods}
+    n_rx = spec.rx_antennas
     noise_scale = np.full(ctx[0].spans["strongest_sv_inst"].shape[1],
                           estimation_noise_std / math.sqrt(2.0))
 
@@ -510,25 +556,30 @@ def evaluate(
         est = _complex_gaussian(rng, count, noise_scale) if needs_inst_noise else None
         sinr = np.empty((count, n_methods))
         for col, method in enumerate(methods):
-            g1 = _project(paths[0], a1, ctx[0].spans[method])
-            c1 = _coefficients(method, ctx[0], g1,
-                               est if method == "strongest_sv_inst" else None)
-            heff = np.einsum("kid,kd->ki", g1, c1)
-            r = (heff / np.linalg.norm(heff, axis=1, keepdims=True)
-                 if method in _MATCHED_RX else ctx[0].u_max)
-            sig = np.abs(np.sum(r.conj() * heff, axis=1)) ** 2
+            own, other, cross_map = maps[method]
+            g1 = _project(a1, own, n_rx)
+            if method in _COHERENT:
+                # the matched filter u on the dominant pair collects
+                # sigma_max^2; interference_free needs no filter
+                sig, r = _top_singular(
+                    g1, "left" if method == "all_sv_coh" else None)
+            else:
+                c1 = _coefficients(method, ctx[0], g1,
+                                   est if method == "strongest_sv_inst" else None)
+                heff = np.einsum("kid,kd->ki", g1, c1)
+                r = (heff / np.linalg.norm(heff, axis=1, keepdims=True)
+                     if method in _MATCHED_RX else ctx[0].u_max)
+                sig = np.abs(np.sum(r.conj() * heff, axis=1)) ** 2
             interf = 0.0
             if spatial and method != "interference_free":
-                span2 = ctx[1].spans[method]
-                c2 = _coefficients(method, ctx[1], _project(paths[1], a2, span2), None)
-                cross = np.einsum("kid,kd->ki", _project(paths[0], a1, span2), c2)
+                c2 = _coefficients(method, ctx[1], _project(a2, other, n_rx), None)
+                cross = np.einsum("kid,kd->ki", _project(a1, cross_map, n_rx), c2)
                 interf = np.abs(np.sum(r.conj() * cross, axis=1)) ** 2
             sinr[:, col] = user_power * sig / (user_power * interf + 1.0)
         return (sinr,)
 
     stream = SeededStream(mc.master_seed).derive(_EVAL_TAG, 0)
-    (sinr_all,) = collect_monte_carlo(
-        mc.trials, _EVAL_BLOCK, stream, block_fn, workers=workers)
+    (sinr_all,) = collect_monte_carlo(mc.trials, _EVAL_BLOCK, stream, block_fn)
 
     k = mc.trials
     results = {}

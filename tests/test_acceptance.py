@@ -251,7 +251,7 @@ def test_a7_beamforming_properties():
 
     # single-antenna mean-SINR ordering at 0 dB
     ev1 = mimo.evaluate(spec1, mimo.METHODS, 0.0, "space",
-                        MonteCarloConfig(200_000, 3), workers=4)
+                        MonteCarloConfig(200_000, 3))
     r = ev1.results
     if_res = r["interference_free"]
     coh = r["all_sv_coh"]
@@ -264,7 +264,7 @@ def test_a7_beamforming_properties():
     # superposition wins the PER race at every matched slot count
     zf = tuple(m for m in mimo.METHODS if m != "interference_free")
     ev4 = mimo.evaluate(spec4, zf, 10.0, "space",
-                        MonteCarloConfig(100_000, 3), slots=10, workers=4)
+                        MonteCarloConfig(100_000, 3), slots=10)
     ncoh = ev4.results["all_sv_ncoh"].per_slot
     for other in zf:
         if other == "all_sv_ncoh":

@@ -58,6 +58,12 @@ def test_channel_spec_validation():
         ClusterChannelSpec(4, 1, (c, "not a cluster"))
     with pytest.raises(ValueError):
         ClusterChannelSpec(0, 1, (c, c))
+    for m, n, name in ((2.5, 1, "tx_antennas"), (4, 1.5, "rx_antennas"),
+                       (4.0, 1, "tx_antennas"), (4, "2", "rx_antennas")):
+        with pytest.raises(ValueError, match=name):
+            ClusterChannelSpec(m, n, (c, c))
+    spec = ClusterChannelSpec(np.int64(4), np.int64(2), (c, c))
+    assert type(spec.tx_antennas) is int and spec.rx_antennas == 2
 
 
 def test_random_cluster_spec_reproducible():
@@ -88,6 +94,11 @@ def test_random_cluster_spec_validation():
         random_cluster_spec(paths=0)
     with pytest.raises(ValueError):
         random_cluster_spec(spread_deg=-1.0)
+    # a fractional count would build non-unit steering columns downstream
+    with pytest.raises(ValueError, match="tx_antennas"):
+        random_cluster_spec(tx_antennas=2.5)
+    with pytest.raises(ValueError, match="rx_antennas"):
+        random_cluster_spec(rx_antennas=1.5)
 
 
 def test_covariance_trace_and_rank_one():
@@ -163,6 +174,22 @@ def test_build_precoder_unit_norm_and_nulling():
             if method != "interference_free":
                 leak = np.linalg.norm(cov1.tx_support.conj().T @ pre.weights)
                 assert leak < 1e-10
+
+
+@pytest.mark.parametrize("rx_antennas, paths", [(2, 4), (4, 2)])
+def test_build_precoder_coherent_gain_is_top_singular_value(rx_antennas, paths):
+    # with N != d the two Gram branches must both give the weights that
+    # collect sigma_max^2 of the projected channel
+    spec = random_cluster_spec(rx_antennas=rx_antennas, paths=paths, seed=1)
+    cov0, cov1 = covariance(spec, 0), covariance(spec, 1)
+    h = draw_channels(spec, 0, 10, np.random.default_rng(8))
+    for method in ("interference_free", "all_sv_coh"):
+        other = None if method == "interference_free" else cov1
+        span = mimo._PrecoderContext(cov0, other).spans[method]
+        for k in range(10):
+            f = build_precoder(method, cov0, cov1, csi=h[k]).weights
+            smax = np.linalg.svd(h[k] @ span, compute_uv=False)[0]
+            assert np.linalg.norm(h[k] @ f) == pytest.approx(smax, rel=1e-12)
 
 
 def test_build_precoder_needs_csi():
@@ -283,13 +310,11 @@ def test_evaluate_interference_free_wins_at_high_power():
     assert ev.results["interference_free"].mean_per < 1e-12
 
 
-def test_evaluate_deterministic_and_worker_invariant():
+def test_evaluate_rerun_bit_identical():
     spec = random_cluster_spec(seed=1)
     mc = MonteCarloConfig(5000, 7)
-    a = evaluate(spec, ("all_sv_coh", "strongest_sv_av"), 0.0, "space", mc,
-                 workers=1)
-    b = evaluate(spec, ("all_sv_coh", "strongest_sv_av"), 0.0, "space", mc,
-                 workers=3)
+    a = evaluate(spec, ("all_sv_coh", "strongest_sv_av"), 0.0, "space", mc)
+    b = evaluate(spec, ("all_sv_coh", "strongest_sv_av"), 0.0, "space", mc)
     for m in ("all_sv_coh", "strongest_sv_av"):
         assert np.array_equal(a.results[m].sinr, b.results[m].sinr)
         assert a.results[m].mean_per == b.results[m].mean_per
@@ -316,6 +341,13 @@ def test_evaluate_validation():
         evaluate(spec, ("all_sv_coh",), 0.0, "frequency", mc)
     with pytest.raises(ValueError):
         evaluate(spec, ("all_sv_coh",), 0.0, "space", mc, payload_bits=0)
+    for rho_db in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="rho_db"):
+            evaluate(spec, ("all_sv_coh",), rho_db, "space", mc)
+    for name in ("payload_bits", "slots"):
+        for bad in (2.5, 3.0, 0):
+            with pytest.raises(ValueError, match=name):
+                evaluate(spec, ("all_sv_coh",), 0.0, "space", mc, **{name: bad})
     for std in (-1e-3, math.nan, math.inf):
         with pytest.raises(ValueError):
             evaluate(spec, ("strongest_sv_inst",), 0.0, "space", mc,
@@ -327,12 +359,38 @@ def test_evaluate_validation():
                      attempts_per_slot=aps)
 
 
+def _reference_weights(method, ctx, h, est):
+    """Unit-norm weights per realization, (count, M), from full channels:
+    coherent methods take the dominant right singular vector of h @ span
+    from np.linalg.svd, strongest_sv_inst picks the span column with the
+    largest (noisy) projection on u_max, the rest use the fixed span."""
+    span = ctx.spans[method]
+    g = h @ span
+    if method in ("interference_free", "all_sv_coh"):
+        c = np.linalg.svd(g)[2][:, 0, :].conj()
+    elif method == "strongest_sv_inst":
+        proj = np.einsum("i,kid->kd", ctx.u_max.conj(), g)
+        if est is not None:
+            proj = proj + est
+        c = np.eye(span.shape[1])[np.argmax(np.abs(proj), axis=1)]
+    else:
+        c = np.ones((h.shape[0], 1))
+    return c @ span.T
+
+
+# (N, paths): N = 1; N = 4 = d; N = 2 < d (Gram g g^H); N = 4 > d (g^H g)
 @pytest.mark.parametrize("multiplexing", ["space", "time"])
-@pytest.mark.parametrize("rx_antennas", [1, 4])
-def test_evaluate_matches_channel_matrix_reference(rx_antennas, multiplexing):
+@pytest.mark.parametrize("rx_antennas, paths", [
+    pytest.param(1, 4, id="1"),
+    pytest.param(4, 4, id="4"),
+    pytest.param(2, 4, id="2-paths4"),
+    pytest.param(4, 2, id="4-paths2"),
+])
+def test_evaluate_matches_channel_matrix_reference(rx_antennas, paths,
+                                                   multiplexing):
     # evaluate projects path gains on fixed spans; redraw its first block as
-    # full channel matrices and recompute every SINR from the weights
-    spec = random_cluster_spec(rx_antennas=rx_antennas, paths=4, seed=1)
+    # full channel matrices and recompute every SINR from weights built here
+    spec = random_cluster_spec(rx_antennas=rx_antennas, paths=paths, seed=1)
     seed, trials, rho_db, std = 6, 1500, 3.0, 0.8
     ev = evaluate(spec, METHODS, rho_db, multiplexing,
                   MonteCarloConfig(trials, seed), estimation_noise_std=std)
@@ -343,12 +401,15 @@ def test_evaluate_matches_channel_matrix_reference(rx_antennas, multiplexing):
     cov0, cov1 = covariance(spec, 0), covariance(spec, 1)
     ctx0 = mimo._PrecoderContext(cov0, cov1)
     ctx1 = mimo._PrecoderContext(cov1, cov0)
+    # the coherent span keeps every path, so N against paths picks the
+    # Gram branch the id names
+    assert ctx0.spans["all_sv_coh"].shape[1] == paths
     z = rng.standard_normal(
         (trials, 2, ctx0.spans["strongest_sv_inst"].shape[1]))
     est = (z[:, 0] + 1j * z[:, 1]) * (std / math.sqrt(2.0))
     power = 10.0 ** (rho_db / 10.0) / (2.0 if space else 1.0)
     for method in METHODS:
-        f1 = mimo._batched_precoders(
+        f1 = _reference_weights(
             method, ctx0, h1, est if method == "strongest_sv_inst" else None)
         heff = np.einsum("kij,kj->ki", h1, f1)
         matched = method in ("interference_free", "all_sv_coh", "all_sv_ncoh")
@@ -357,10 +418,51 @@ def test_evaluate_matches_channel_matrix_reference(rx_antennas, multiplexing):
                else np.abs(heff @ u) ** 2)
         interf = 0.0
         if space and method != "interference_free":
-            f2 = mimo._batched_precoders(method, ctx1, h2, None)
+            f2 = _reference_weights(method, ctx1, h2, None)
             cross = np.einsum("kij,kj->ki", h1, f2)
             interf = (np.abs(np.sum(heff.conj() * cross, axis=1)) ** 2 / sig
                       if matched else np.abs(cross @ u) ** 2)
         ref = power * sig / (power * interf + 1.0)
         np.testing.assert_allclose(ev.results[method].sinr, ref,
                                    rtol=1e-9, atol=0)
+
+
+def _with_singular_values(sv, shape, rng, count):
+    """count complex (N, d) matrices with singular values sv: the bare
+    diagonal first (a tie there is exact), then random unitary rotations."""
+    def unitary(n):
+        z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        return np.linalg.qr(z)[0]
+    s = np.zeros(shape, dtype=complex)
+    s[np.arange(len(sv)), np.arange(len(sv))] = sv
+    rotated = [unitary(shape[0]) @ s @ unitary(shape[1]).conj().T
+               for _ in range(count - 1)]
+    return np.stack([s] + rotated)
+
+
+@pytest.mark.parametrize("kind, shape", [
+    ("tie", (2, 5)), ("tie", (3, 3)), ("tie", (5, 2)),
+    ("rank1", (2, 5)), ("rank1", (3, 3)), ("rank1", (5, 2)),
+    ("rank1", (1, 4)), ("rank1", (4, 1)),
+])
+def test_top_singular_degenerate(kind, shape):
+    # a tie sigma_1 = sigma_2 makes any vector of the tied subspace a
+    # maximizer; a rank-1 g leaves the other Gram eigenvalues at zero
+    rng = np.random.default_rng(11)
+    r = min(shape)
+    sv = [2.0, 2.0, 0.5][:r] if kind == "tie" else [3.0] + [0.0] * (r - 1)
+    g = _with_singular_values(sv, shape, rng, 6)
+    smax2 = sv[0] ** 2
+    lam, c = mimo._top_singular(g, "right")
+    assert c.shape == (6, shape[1])
+    np.testing.assert_allclose(np.linalg.norm(c, axis=1), 1.0, rtol=1e-12)
+    gain = np.sum(np.abs(np.einsum("kid,kd->ki", g, c)) ** 2, axis=1)
+    np.testing.assert_allclose(gain, smax2, rtol=1e-12)
+    np.testing.assert_allclose(lam, smax2, rtol=1e-12)
+    lam_u, u = mimo._top_singular(g, "left")
+    assert u.shape == (6, shape[0])
+    np.testing.assert_allclose(np.linalg.norm(u, axis=1), 1.0, rtol=1e-12)
+    gain_u = np.sum(np.abs(np.einsum("kid,ki->kd", g, u.conj())) ** 2, axis=1)
+    np.testing.assert_allclose(gain_u, smax2, rtol=1e-12)
+    np.testing.assert_allclose(mimo._top_singular(g)[0], smax2, rtol=1e-12)
+    assert mimo._top_singular(g)[1] is None
