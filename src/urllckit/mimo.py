@@ -516,8 +516,13 @@ def evaluate(
             raise ValueError(f"unknown method {m!r}")
     if multiplexing not in ("space", "time"):
         raise ValueError(f"multiplexing must be 'space' or 'time', got {multiplexing!r}")
-    if not math.isfinite(rho_db):
-        raise ValueError(f"rho_db must be finite, got {rho_db!r}")
+    try:
+        total_power = 10.0 ** (rho_db / 10.0)
+    except OverflowError:
+        total_power = math.inf
+    if not (math.isfinite(rho_db) and math.isfinite(total_power)):
+        raise ValueError(f"rho_db must be finite with a finite linear power, "
+                         f"got {rho_db!r}")
     for name, n in (("payload_bits", payload_bits), ("slots", slots)):
         if not isinstance(n, numbers.Integral) or n < 1:
             raise ValueError(f"{name} must be an integer >= 1, got {n!r}")
@@ -543,7 +548,6 @@ def evaluate(
     noise_scale = np.full(ctx[0].spans["strongest_sv_inst"].shape[1],
                           estimation_noise_std / math.sqrt(2.0))
 
-    total_power = 10.0 ** (rho_db / 10.0)
     spatial = multiplexing == "space"
     user_power = total_power / 2.0 if spatial else total_power
     n_methods = len(methods)

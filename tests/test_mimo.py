@@ -341,7 +341,7 @@ def test_evaluate_validation():
         evaluate(spec, ("all_sv_coh",), 0.0, "frequency", mc)
     with pytest.raises(ValueError):
         evaluate(spec, ("all_sv_coh",), 0.0, "space", mc, payload_bits=0)
-    for rho_db in (math.nan, math.inf, -math.inf):
+    for rho_db in (math.nan, math.inf, -math.inf, 4000.0):
         with pytest.raises(ValueError, match="rho_db"):
             evaluate(spec, ("all_sv_coh",), rho_db, "space", mc)
     for name in ("payload_bits", "slots"):
