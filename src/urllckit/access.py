@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .simcore import union_error
+from .simcore import check_count, union_error
 
 __all__ = [
     "SCHEMES",
@@ -94,8 +94,8 @@ class RetransmissionModel:
             raise ValueError(f"eps_attempt must be in [0, 1], got {self.eps_attempt}")
         if not self.attempt_latency_s > 0:
             raise ValueError("attempt_latency_s must be positive")
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
+        object.__setattr__(self, "max_attempts",
+                           check_count("max_attempts", self.max_attempts))
 
     @property
     def attempt_times(self) -> np.ndarray:

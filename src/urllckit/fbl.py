@@ -8,7 +8,8 @@ per-use SNR down as gamma = gamma0 * B0 / B.  This module carries the
 resulting error calculus plus a minimum-bandwidth solver for a packet of
 data and metadata bits, encoded jointly or separately.  The solver works on
 the packet error itself (packet_error <= eps), never on 1 - eps, so targets
-far below 1e-16 are met as stated.
+far below 1e-16 are met as stated.  It has one path: an array of reference
+SNRs is solved as one batch, and a single SNR is a batch of one.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .simcore import bisect, q_function, union_error
+from .simcore import bisect, check_count, q_function, union_error
 
 __all__ = [
     "LOG2E",
@@ -95,8 +96,8 @@ class PacketSpec:
     metadata_bits: int = 0
 
     def __post_init__(self):
-        if self.data_bits < 0 or self.metadata_bits < 0:
-            raise ValueError("bit counts must be nonnegative")
+        for name in ("data_bits", "metadata_bits"):
+            object.__setattr__(self, name, check_count(name, getattr(self, name), 0))
         if self.data_bits + self.metadata_bits == 0:
             raise ValueError("packet must carry at least one bit")
 
@@ -204,22 +205,22 @@ def success_probability(budget: LinkBudget, pkt: PacketSpec, n, mode: str = "joi
 
 
 def min_bandwidth(budget: LinkBudget, pkt: PacketSpec, eps_target: float,
-                  mode: str = "joint", *, n_max: int = _N_MAX):
+                  mode: str = "joint"):
     """Smallest bandwidth (Hz) whose packet error is at most eps_target.
 
     Returns math.inf when infeasible: past the analytic ceiling (with a 2%
-    guard band) or when no blocklength up to n_max meets the target.  The
+    guard band) or when no blocklength up to 2^22 meets the target.  The
     bracket comes from a geometric scan over n, refined by bisection to
     ~1e-6 relative; the result is the bracket's upper end, so the packet
     error at the returned bandwidth itself is at most eps_target.  Errors
     are compared with eps_target directly, so targets below the
     double-precision spacing of 1 (1e-17, 1e-20) stay distinct.
 
-    A scalar budget.gamma0 returns a float, refined by simcore.bisect's
-    scalar loop.  An array gamma0 returns an array of its shape from one
-    batched solve: all SNRs are scanned together in (SNR x blocklength)
-    tiles, and all brackets are refined by a single elementwise bisect
-    call.  Each element equals the scalar solve at that SNR exactly.
+    All SNRs of budget.gamma0 are solved as one batch: they are scanned
+    together in (SNR x blocklength) tiles, and all brackets are refined by
+    a single elementwise bisect call, so each element equals the solve at
+    that SNR alone.  An array gamma0 returns an array of its shape; a
+    scalar gamma0 is a batch of one and returns a float.
     """
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
@@ -234,7 +235,7 @@ def min_bandwidth(budget: LinkBudget, pkt: PacketSpec, eps_target: float,
         required, available = max(pkt.data_bits, pkt.metadata_bits), ceiling / 2.0
     below_ceiling = np.ravel(required < available * (1.0 + _CEILING_GUARD))
 
-    grid = np.geomspace(2.0, float(n_max), _BRACKET_POINTS)
+    grid = np.geomspace(2.0, float(_N_MAX), _BRACKET_POINTS)
     rows = np.flatnonzero(below_ceiling)
     g = gamma0.ravel()[rows]
     first = _first_hits(g, budget, pkt, eps_target, mode, grid)
@@ -243,11 +244,7 @@ def min_bandwidth(budget: LinkBudget, pkt: PacketSpec, eps_target: float,
     n_star[rows[first == 0]] = grid[0]
     inner = first > 0
     if inner.any():
-        lo, hi = grid[first[inner] - 1], grid[first[inner]]
-        if gamma0.ndim == 0:
-            lo, hi, g_inner = float(lo[0]), float(hi[0]), budget.gamma0
-        else:
-            g_inner = g[inner]
+        lo, hi, g_inner = grid[first[inner] - 1], grid[first[inner]], g[inner]
         n_star[rows[inner]] = bisect(
             lambda n: _packet_error(g_inner, budget, pkt, n, mode) - eps_target,
             lo, hi, tol=1e-6 * lo,

@@ -14,8 +14,9 @@ program over the payload bits; the automaton starts in the full-match
 state so marker-suffix overlaps are handled without enumeration.  Each
 payload bit is two dense transfer matrices over the automaton states: one
 moves mass that completes no match, one row collects the mass that does
-and shifts it up one count.  The marker search scores each distinct word
-once per call.
+and shifts it up one count.  Counts above a cap are lumped into a tail
+mass, which the bounds score as zero.  The marker search scores each
+distinct word once per call.
 
 The Monte-Carlo detector checks the bound.  Without noise it needs no
 correlation at all: offset 0 correlates to exactly m, the most any offset
@@ -34,7 +35,6 @@ import numpy as np
 from .simcore import MonteCarloConfig, SeededStream, run_monte_carlo
 
 __all__ = [
-    "CapExceededError",
     "Marker",
     "OccurrenceDistribution",
     "occurrence_distribution",
@@ -49,10 +49,6 @@ _SIM_TAG = 102
 
 # targets ~2^22 doubles of scratch per simulation block
 _SIM_BLOCK_ELEMS = 2 ** 22
-
-
-class CapExceededError(ValueError):
-    """Occurrence-count support exceeded the cap with tail lumping disabled."""
 
 
 @dataclass(frozen=True)
@@ -97,16 +93,13 @@ class OccurrenceDistribution:
     """Exact distribution of the false-sync occurrence count C.
 
     probs maps each count with positive mass to its probability; tail_mass
-    is whatever sits above the cap (zero unless lumping kicked in).
+    is whatever sits above the count cap.
     """
 
     marker: Marker
     payload_bits: int
     probs: dict = field(compare=False)
     tail_mass: float = 0.0
-
-    def support(self) -> tuple:
-        return tuple(sorted(self.probs))
 
     def total_mass(self) -> float:
         return sum(self.probs.values()) + self.tail_mass
@@ -141,13 +134,12 @@ def _prefix_automaton(bits: tuple) -> np.ndarray:
 
 
 def occurrence_distribution(marker: Marker, payload_bits: int,
-                            count_cap: int = 32,
-                            lump_tail: bool = True) -> OccurrenceDistribution:
+                            count_cap: int = 32) -> OccurrenceDistribution:
     """Exact law of C for i.i.d. uniform payload bits behind the marker.
 
-    Counts above count_cap are lumped into tail_mass (or rejected when
-    lump_tail is False).  All probabilities are dyadic rationals, so for
-    payloads up to ~50 bits the float arithmetic here is exact.
+    Counts above count_cap are lumped into tail_mass.  All probabilities
+    are dyadic rationals, so for payloads up to ~50 bits the float
+    arithmetic here is exact.
     """
     if payload_bits < 0:
         raise ValueError("payload_bits must be nonnegative")
@@ -179,9 +171,6 @@ def occurrence_distribution(marker: Marker, payload_bits: int,
 
     by_count = prob.sum(axis=0)
     tail = float(by_count[cap + 1])
-    if tail > 0.0 and not lump_tail:
-        raise CapExceededError(
-            f"occurrence support exceeds cap {count_cap} and lumping is disabled")
     total = float(by_count.sum())
     if abs(total - 1.0) > 1e-9:
         raise AssertionError(f"distribution mass drifted to {total}")
@@ -190,19 +179,18 @@ def occurrence_distribution(marker: Marker, payload_bits: int,
 
 
 def p_ub(dist: OccurrenceDistribution) -> float:
-    """Correct-sync upper bound sum_i Pr{C=i}/(i+1).
+    """Correct-sync upper bound sum_i Pr{C=i}/(i+1): p_ub_list at l = 1.
 
     Tail mass above the cap contributes zero, which can only lower the
     bound (pessimistic).
     """
-    return float(sum(p / (i + 1) for i, p in dist.probs.items()))
+    return p_ub_list(dist, 1)
 
 
 def p_ub_list(dist: OccurrenceDistribution, list_len: int) -> float:
     """List-detector bound: Pr{C < l} plus l/(i+1) weighted mass above.
 
-    Equals p_ub at l = 1 and is nondecreasing in l.  Tail mass again
-    contributes zero.
+    Nondecreasing in l.  Tail mass contributes zero.
     """
     if list_len < 1:
         raise ValueError("list_len must be >= 1")
@@ -360,6 +348,6 @@ def simulate_sync(marker: Marker, payload_bits: int, snr_db,
             wins = at_true & (u * ties < 1.0)
             return (wins.sum(),)
 
-    stream = SeededStream(mc.master_seed).derive(_SIM_TAG, m, n)
-    (wins,) = run_monte_carlo(mc.trials, block, stream, block_fn, workers=workers)
+    (wins,) = run_monte_carlo(mc.trials, block, mc.stream(_SIM_TAG, m, n), block_fn,
+                              workers=workers)
     return float(wins) / mc.trials

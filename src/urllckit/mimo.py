@@ -5,8 +5,10 @@ narrow angular clusters, so each terminal's transmit covariance has low
 rank.  The long-term structure alone pins down the zero-forcing part of
 the precoder: projecting away the interferer's covariance support nulls
 the cross channel for every fading realization, no instantaneous cross-CSI
-needed.  What remains is how to spend the in-cluster degrees of freedom,
-and that is where the methods differ:
+needed.  covariance() keeps what the precoders read: the nonzero transmit
+eigenpairs, from an SVD of the power-weighted steering matrix, and the
+dominant receive eigenvector.  What remains is how to spend the in-cluster
+degrees of freedom, and that is where the methods differ:
 
   interference_free  coherent matched beamforming, nulling skipped
                      (genie upper bound, interference not counted)
@@ -39,8 +41,7 @@ spend half the training, so they fit two packets per slot.
 from __future__ import annotations
 
 import math
-import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -48,6 +49,7 @@ import numpy as np
 from .simcore import (
     MonteCarloConfig,
     SeededStream,
+    check_count,
     collect_monte_carlo,
     q_function,
     run_monte_carlo,
@@ -149,10 +151,7 @@ class ClusterChannelSpec:
 
     def __post_init__(self):
         for name in ("tx_antennas", "rx_antennas"):
-            n = getattr(self, name)
-            if not isinstance(n, numbers.Integral) or n < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {n!r}")
-            object.__setattr__(self, name, int(n))
+            object.__setattr__(self, name, check_count(name, getattr(self, name)))
         if len(self.clusters) != 2:
             raise ValueError("exactly two terminals expected")
         for c in self.clusters:
@@ -202,40 +201,36 @@ def random_cluster_spec(
 class CovariancePair:
     """Transmit/receive covariance of one terminal with eigenstructure.
 
-    Eigenvalues are descending; tx_rank counts the numerically nonzero
-    transmit eigenvalues and tx_support is the matching orthonormal basis,
-    computed from the power-weighted steering matrix so the span stays
-    exact even when the covariance eigenproblem is ill conditioned.
+    tx_eigvals are the numerically nonzero transmit eigenvalues, descending,
+    and tx_support (M x tx_rank) is the matching orthonormal basis, computed
+    from the power-weighted steering matrix so the span stays exact even
+    when the covariance eigenproblem is ill conditioned.  u_max is the
+    dominant receive eigenvector.
     """
 
     r_tx: np.ndarray
     r_rx: np.ndarray
     tx_eigvals: np.ndarray
-    tx_eigvecs: np.ndarray
-    rx_eigvals: np.ndarray
-    rx_eigvecs: np.ndarray
-    tx_rank: int
+    tx_support: np.ndarray
+    u_max: np.ndarray
 
     @property
-    def tx_support(self) -> np.ndarray:
-        return self.tx_eigvecs[:, : self.tx_rank]
+    def tx_rank(self) -> int:
+        return self.tx_support.shape[1]
 
     @property
     def v_max(self) -> np.ndarray:
-        return self.tx_eigvecs[:, 0]
-
-    @property
-    def u_max(self) -> np.ndarray:
-        return self.rx_eigvecs[:, 0]
+        return self.tx_support[:, 0]
 
 
-def _eig_from_weighted(a: np.ndarray, dim: int):
-    """Eigenstructure of a*a^H from the thin factor a (dim x paths)."""
+def _eig_from_weighted(a: np.ndarray):
+    """Nonzero eigenvalues (descending) of a a^H and their orthonormal
+    eigenvectors, from the thin factor a."""
+    # the full SVD, though only rank columns of u are kept: the thin one
+    # rounds u differently, which moves printed mimo SINRs in the 12th digit
     u, s, _ = np.linalg.svd(a, full_matrices=True)
-    svals = np.zeros(dim)
-    svals[: s.size] = s
-    rank = int(np.count_nonzero(s > s[0] * max(a.shape) * np.finfo(float).eps)) if s.size else 0
-    return svals ** 2, u, max(rank, 1)
+    rank = int(np.count_nonzero(s > s[0] * max(a.shape) * np.finfo(float).eps))
+    return s[:rank] ** 2, u[:, :rank]
 
 
 def _steering_factors(spec: ClusterChannelSpec, terminal: int):
@@ -256,16 +251,13 @@ def covariance(spec: ClusterChannelSpec, terminal: int) -> CovariancePair:
     sqrtp = np.sqrt(powers)
     a_tx = s_tx * sqrtp[None, :]
     a_rx = s_rx * sqrtp[None, :]
-    tx_vals, tx_vecs, tx_rank = _eig_from_weighted(a_tx, spec.tx_antennas)
-    rx_vals, rx_vecs, _ = _eig_from_weighted(a_rx, spec.rx_antennas)
+    tx_vals, tx_support = _eig_from_weighted(a_tx)
     return CovariancePair(
         r_tx=a_tx @ a_tx.conj().T,
         r_rx=a_rx @ a_rx.conj().T,
         tx_eigvals=tx_vals,
-        tx_eigvecs=tx_vecs,
-        rx_eigvals=rx_vals,
-        rx_eigvecs=rx_vecs,
-        tx_rank=tx_rank,
+        tx_support=tx_support,
+        u_max=_eig_from_weighted(a_rx)[1][:, 0],
     )
 
 
@@ -312,17 +304,20 @@ def draw_channel(spec: ClusterChannelSpec, terminal: int,
 
 
 def empirical_covariance(spec: ClusterChannelSpec, terminal: int,
-                         mc: MonteCarloConfig, workers: int = 1):
-    """Monte-Carlo estimates of (R_tx, R_rx) for convergence checks."""
+                         mc: MonteCarloConfig):
+    """Monte-Carlo estimates of (R_tx, R_rx) for convergence checks.
+
+    A block's sums over realizations are two GEMMs: R_tx from the rows of
+    every H_k stacked, R_rx from their columns side by side.
+    """
     def block_fn(rng, start, count):
         h = draw_channels(spec, terminal, count, rng)
-        r_tx = np.einsum("kij,kil->jl", h.conj(), h)
-        r_rx = np.einsum("kij,klj->il", h, h.conj())
-        return r_tx, r_rx
+        rows = h.reshape(-1, h.shape[2])
+        cols = h.transpose(1, 0, 2).reshape(h.shape[1], -1)
+        return rows.conj().T @ rows, cols @ cols.conj().T
 
-    stream = SeededStream(mc.master_seed).derive(_EVAL_TAG, terminal, 1)
     r_tx_sum, r_rx_sum = run_monte_carlo(
-        mc.trials, _EVAL_BLOCK, stream, block_fn, workers=workers)
+        mc.trials, _EVAL_BLOCK, mc.stream(_EVAL_TAG, terminal, 1), block_fn)
     return r_tx_sum / mc.trials, r_rx_sum / mc.trials
 
 
@@ -350,7 +345,7 @@ class _PrecoderContext:
     def __init__(self, own: CovariancePair, other: Optional[CovariancePair]):
         self.u_max = own.u_max
         v = own.tx_support
-        lam = own.tx_eigvals[: own.tx_rank]
+        lam = own.tx_eigvals
         projected = v
         if other is not None:
             b = other.tx_support
@@ -363,12 +358,12 @@ class _PrecoderContext:
         # per-eigenvector unit directions (strongest-SV selection)
         directions = projected[:, keep] / norms[keep]
         # orthonormal basis of the projected subspace (coherent combining)
-        _, q, r = _eig_from_weighted(projected[:, keep], v.shape[0])
+        _, q = _eig_from_weighted(projected[:, keep])
         # fixed non-coherent superposition, sqrt(eigenvalue) amplitudes
         f = projected[:, keep] @ np.sqrt(lam[keep])
         self.spans = {
             "interference_free": v,
-            "all_sv_coh": q[:, :r],
+            "all_sv_coh": q,
             "strongest_sv_inst": directions,
             "all_sv_ncoh": (f / np.linalg.norm(f))[:, None],
             "strongest_sv_av": directions[:, :1],
@@ -417,46 +412,32 @@ def _coefficients(method: str, ctx: _PrecoderContext, g: np.ndarray,
     return np.ones((g.shape[0], 1))
 
 
-def _batched_precoders(method: str, ctx: _PrecoderContext, h: np.ndarray,
-                       est_noise: Optional[np.ndarray]) -> np.ndarray:
-    """Unit-norm weights per realization, shape (count, M)."""
+def _batched_precoders(method: str, ctx: _PrecoderContext, h: np.ndarray) -> np.ndarray:
+    """Unit-norm weights per realization from exact CSI, shape (count, M)."""
     span = ctx.spans[method]
-    return _coefficients(method, ctx, h @ span, est_noise) @ span.T
-
-
-def _check_noise_std(std: float) -> None:
-    if not (math.isfinite(std) and std >= 0.0):
-        raise ValueError(f"estimation_noise_std must be finite and >= 0, got {std}")
+    return _coefficients(method, ctx, h @ span, None) @ span.T
 
 
 def build_precoder(method: str, own_cov: CovariancePair,
                    other_cov: CovariancePair,
-                   csi: Optional[np.ndarray] = None,
-                   estimation_noise_std: float = 0.0,
-                   rng: Optional[np.random.Generator] = None) -> Precoder:
+                   csi: Optional[np.ndarray] = None) -> Precoder:
     """Beamforming weights for one terminal.
 
     Every zero-forcing method projects the interferer's transmit support
     away first; interference_free skips the projection.  csi (the own
     channel, N x M) is required for all_sv_coh, strongest_sv_inst, and
-    interference_free; the purely statistical methods ignore it.
+    interference_free; the purely statistical methods ignore it.  The CSI
+    is taken as exact; evaluate models estimation noise.
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
-    _check_noise_std(estimation_noise_std)
     ctx = _PrecoderContext(own_cov, None if method == "interference_free" else other_cov)
     span = ctx.spans[method]
     if method not in _NEEDS_CSI:
         return Precoder(weights=span[:, 0], method=method)
     if csi is None:
         raise ValueError(f"method {method!r} needs instantaneous CSI")
-    noise = None
-    if method == "strongest_sv_inst" and estimation_noise_std > 0.0:
-        if rng is None:
-            raise ValueError("estimation noise requires an rng")
-        noise = _complex_gaussian(
-            rng, 1, np.full(span.shape[1], estimation_noise_std / math.sqrt(2.0)))
-    f = _batched_precoders(method, ctx, np.asarray(csi)[None, :, :], noise)[0]
+    f = _batched_precoders(method, ctx, np.asarray(csi)[None, :, :])[0]
     return Precoder(weights=f, method=method)
 
 
@@ -474,12 +455,9 @@ class MethodResult:
 
 @dataclass(frozen=True, eq=False)
 class MimoEvaluation:
-    spec: ClusterChannelSpec
-    rho_db: float
-    multiplexing: str
-    payload_bits: int
-    slots: int
-    results: dict = field(repr=False)
+    """evaluate's outcome: a MethodResult per evaluated method."""
+
+    results: dict
 
 
 def _per_attempt(sinr: np.ndarray, payload_bits: int) -> np.ndarray:
@@ -497,7 +475,6 @@ def evaluate(
     *,
     payload_bits: int = 100,
     slots: int = 10,
-    attempts_per_slot: Optional[dict] = None,
     estimation_noise_std: float = 0.0,
 ) -> MimoEvaluation:
     """Monte-Carlo SINR and PER-vs-slot for terminal 0 under each method.
@@ -507,8 +484,8 @@ def evaluate(
     in the SINR; time multiplexing gives the active user full power but
     only every other slot.  Uncoded BPSK over payload_bits gives the
     per-attempt PER, and slots multiply independent delivery opportunities
-    (two per slot for methods that skip full CSI training).  The blocks
-    run on the calling thread.
+    (DEFAULT_ATTEMPTS_PER_SLOT: two per slot for methods that skip full
+    CSI training).  The blocks run on the calling thread.
     """
     methods = tuple(methods)
     for m in methods:
@@ -523,16 +500,11 @@ def evaluate(
     if not (math.isfinite(rho_db) and math.isfinite(total_power)):
         raise ValueError(f"rho_db must be finite with a finite linear power, "
                          f"got {rho_db!r}")
-    for name, n in (("payload_bits", payload_bits), ("slots", slots)):
-        if not isinstance(n, numbers.Integral) or n < 1:
-            raise ValueError(f"{name} must be an integer >= 1, got {n!r}")
-    _check_noise_std(estimation_noise_std)
-    aps = dict(DEFAULT_ATTEMPTS_PER_SLOT)
-    for m, n in (attempts_per_slot or {}).items():
-        if m not in METHODS or not isinstance(n, numbers.Integral) or n < 1:
-            raise ValueError("attempts_per_slot maps known methods to integers "
-                             f">= 1, got {m!r}: {n!r}")
-        aps[m] = n
+    payload_bits = check_count("payload_bits", payload_bits)
+    slots = check_count("slots", slots)
+    if not (math.isfinite(estimation_noise_std) and estimation_noise_std >= 0.0):
+        raise ValueError("estimation_noise_std must be finite and >= 0, "
+                         f"got {estimation_noise_std}")
 
     covs = (covariance(spec, 0), covariance(spec, 1))
     # built once, reused per block; terminal 1 serves only the cross term
@@ -582,8 +554,8 @@ def evaluate(
             sinr[:, col] = user_power * sig / (user_power * interf + 1.0)
         return (sinr,)
 
-    stream = SeededStream(mc.master_seed).derive(_EVAL_TAG, 0)
-    (sinr_all,) = collect_monte_carlo(mc.trials, _EVAL_BLOCK, stream, block_fn)
+    (sinr_all,) = collect_monte_carlo(mc.trials, _EVAL_BLOCK, mc.stream(_EVAL_TAG, 0),
+                                      block_fn)
 
     k = mc.trials
     results = {}
@@ -595,7 +567,7 @@ def evaluate(
         per = _per_attempt(s, payload_bits)
         mean_per = float(per.mean())
         active = slot_axis if spatial else np.ceil(slot_axis / 2.0)
-        attempts = aps[method] * active
+        attempts = DEFAULT_ATTEMPTS_PER_SLOT[method] * active
         per_slot = np.power(mean_per, attempts)
         results[method] = MethodResult(
             method=method,
@@ -605,11 +577,4 @@ def evaluate(
             mean_per=mean_per,
             per_slot=per_slot,
         )
-    return MimoEvaluation(
-        spec=spec,
-        rho_db=rho_db,
-        multiplexing=multiplexing,
-        payload_bits=payload_bits,
-        slots=slots,
-        results=results,
-    )
+    return MimoEvaluation(results)

@@ -26,7 +26,6 @@ import numpy as np
 
 from .simcore import (
     MonteCarloConfig,
-    SeededStream,
     bisect,
     reg_lower_gamma,
     run_monte_carlo,
@@ -227,8 +226,8 @@ def throughput_ratio(scenario: RayleighScenario, policy: BackoffPolicy, n: int,
             (cond_outage > eps).sum(),
         )
 
-    stream = SeededStream(mc.master_seed).derive(_THROUGHPUT_TAG, n)
-    sums = run_monte_carlo(mc.trials, _BLOCK_TRIALS, stream, block_fn, workers=workers)
+    sums = run_monte_carlo(mc.trials, _BLOCK_TRIALS, mc.stream(_THROUGHPUT_TAG, n),
+                           block_fn, workers=workers)
     s1, s2, o1, o2, viol = (float(v) for v in sums)
     k = mc.trials
     denom = outage_capacity(theta, eps) * (1.0 - eps)

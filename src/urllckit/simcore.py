@@ -2,8 +2,10 @@
 
 Everything downstream leans on four numeric primitives (Gaussian tail,
 regularized lower incomplete gamma, bisection, and the union of independent
-failures, kept in the error domain so 1e-17 stays 1e-17) plus a
-reproducible stream abstraction.  Streams are keyed Philox generators: the
+failures, kept in the error domain so 1e-17 stays 1e-17), the check that
+a count is an integer, and a reproducible stream abstraction.
+MonteCarloConfig.stream is the one rule that keys a simulation's stream
+from its master seed.  Streams are keyed Philox generators: the
 (master_seed, substream_id) pair is the 128-bit key, so equal pairs give
 bit-identical sequences and distinct pairs give independent counter-based
 streams.
@@ -12,6 +14,7 @@ streams.
 from __future__ import annotations
 
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -26,6 +29,7 @@ __all__ = [
     "reg_lower_gamma",
     "union_error",
     "bisect",
+    "check_count",
     "SeededStream",
     "MonteCarloConfig",
     "run_monte_carlo",
@@ -171,6 +175,17 @@ def _bisect_array(f, lo, hi, tol, max_iter):
     return np.where(done, out, np.where(flo < 0.0, lo, hi))
 
 
+def check_count(name: str, value, minimum: int = 1) -> int:
+    """value as an int; ValueError naming it unless it is an integer >= minimum.
+
+    Python and numpy integers pass.  Floats fail, integral ones such as 4.0
+    included, so a fractional count is never rounded or truncated silently.
+    """
+    if not isinstance(value, numbers.Integral) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
+
+
 def _mix64(v: int) -> int:
     # splitmix64 finalizer: good avalanche, used only to spread substream ids
     v = (v + 0x9E3779B97F4A7C15) & _MASK64
@@ -225,8 +240,7 @@ class MonteCarloConfig:
     master_seed: int = 0
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
+        object.__setattr__(self, "trials", check_count("trials", self.trials))
 
     def stream(self, *indices: int) -> SeededStream:
         return SeededStream(self.master_seed).derive(*indices)

@@ -221,7 +221,7 @@ def _max_leakage(spec, draws: int) -> float:
     for method in mimo.METHODS:
         if method == "interference_free":
             continue
-        f = mimo._batched_precoders(method, ctx, h, None)
+        f = mimo._batched_precoders(method, ctx, h)
         leak = np.linalg.norm(f.conj() @ cov1.tx_support, axis=1)
         worst = max(worst, float(leak.max()))
     return worst
@@ -243,7 +243,7 @@ def test_a7_beamforming_properties():
     for spec in (spec1, spec4):
         exact = mimo.covariance(spec, 0)
         r_tx, r_rx = mimo.empirical_covariance(
-            spec, 0, MonteCarloConfig(100_000, 5), workers=4)
+            spec, 0, MonteCarloConfig(100_000, 5))
         for est, ref in ((r_tx, exact.r_tx), (r_rx, exact.r_rx)):
             rel = np.linalg.norm(est - ref) / np.linalg.norm(ref)
             worst_cov = max(worst_cov, float(rel))

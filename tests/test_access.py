@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -86,6 +87,15 @@ def test_retransmission_model_validation():
         RetransmissionModel(eps_attempt=0.1, attempt_latency_s=0.0, max_attempts=5)
     with pytest.raises(ValueError):
         RetransmissionModel(eps_attempt=0.1, attempt_latency_s=1e-3, max_attempts=0)
+    # a fractional cap would build a 3-step staircase with residual 0.1**2.5
+    for bad in (2.5, 3.0, math.inf):
+        with pytest.raises(ValueError, match="max_attempts"):
+            RetransmissionModel(eps_attempt=0.1, attempt_latency_s=1e-3, max_attempts=bad)
+    model = RetransmissionModel(eps_attempt=0.1, attempt_latency_s=1e-3,
+                                max_attempts=np.int64(3))
+    assert type(model.max_attempts) is int
+    assert model.attempt_times.shape == (3,)
+    assert model.residual_error == 0.1 ** 3
     # a positional per-attempt value (a success probability in older code)
     # is refused rather than read as an error
     with pytest.raises(TypeError):

@@ -7,7 +7,6 @@ import math
 import numpy as np
 import pytest
 
-from urllckit import fbl
 from urllckit.fbl import (
     LOG2E,
     LinkBudget,
@@ -20,7 +19,7 @@ from urllckit.fbl import (
     snr_at_bandwidth,
     success_probability,
 )
-from urllckit.simcore import bisect, union_error
+from urllckit.simcore import union_error
 
 # reference values computed with mpmath at 40 decimal digits
 _CV_REFERENCE = [
@@ -149,6 +148,13 @@ def test_packet_spec_validation():
         PacketSpec(0, 0)
     with pytest.raises(ValueError):
         PacketSpec(-1, 8)
+    for bad in (2.5, 8.0, math.nan):
+        with pytest.raises(ValueError, match="data_bits"):
+            PacketSpec(bad)
+        with pytest.raises(ValueError, match="metadata_bits"):
+            PacketSpec(8, bad)
+    pkt = PacketSpec(np.int64(8), np.int32(0))
+    assert pkt.total_bits == 8 and type(pkt.data_bits) is int
 
 
 def test_success_probability_matches_error_calculus():
@@ -295,8 +301,14 @@ def test_min_bandwidth_batched_equals_scalar_calls(mode, eps):
     batched = min_bandwidth(LinkBudget(gammas, 1e5, 1e-3), pkt, eps, mode)
     scalar = [min_bandwidth(LinkBudget(float(g), 1e5, 1e-3), pkt, eps, mode)
               for g in gammas]
+    ones = [min_bandwidth(LinkBudget(np.array([g]), 1e5, 1e-3), pkt, eps, mode)
+            for g in gammas]
     assert isinstance(batched, np.ndarray) and batched.shape == gammas.shape
     assert batched.tolist() == scalar
+    # a scalar gamma0 is a batch of one: element 0 of it, as a float
+    assert all(type(x) is float for x in scalar)
+    assert all(one.shape == (1,) for one in ones)
+    assert [one[0] for one in ones] == scalar
     # the rows cover every way a solve ends
     required = pkt.total_bits if mode == "joint" else pkt.metadata_bits
     available = asymptotic_bits(LinkBudget(gammas, 1e5, 1e-3))
@@ -320,18 +332,6 @@ def test_min_bandwidth_result_shape_follows_gamma0():
     assert np.all(grid == one)
     assert type(min_bandwidth(LinkBudget(0.01, 1e5, 1e-3), pkt, 1e-9)) is float
 
-
-def test_min_bandwidth_scalar_gamma0_takes_the_float_loop(monkeypatch):
-    # a scalar solve refines one bracket; simcore.bisect's float loop does
-    # that several times faster than its elementwise form
-    seen = []
-
-    def spy(f, lo, hi, **kw):
-        seen.append((type(lo), type(hi), type(kw["tol"])))
-        return bisect(f, lo, hi, **kw)
-    monkeypatch.setattr(fbl, "bisect", spy)
-    min_bandwidth(LinkBudget(100.0, 1e5, 1e-3), PacketSpec(128, 128), 1e-9)
-    assert seen == [(float, float, float)]
 
 
 def test_min_bandwidth_validation():

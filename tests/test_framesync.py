@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from urllckit import framesync
 from urllckit.framesync import (
-    CapExceededError,
     Marker,
     occurrence_distribution,
     p_ub,
@@ -94,8 +93,6 @@ def test_distribution_cap_lumps_tail():
     expected_tail = sum(p for c, p in full.probs.items() if c > 3)
     assert capped.tail_mass == pytest.approx(expected_tail, abs=1e-15)
     assert max(capped.probs) <= 3
-    with pytest.raises(CapExceededError):
-        occurrence_distribution(marker, 8, count_cap=3, lump_tail=False)
 
 
 def test_capped_bound_is_pessimistic():
@@ -115,6 +112,14 @@ def test_distribution_validation():
 def test_p_ub_list_properties():
     dist = occurrence_distribution(Marker.from_string("1010"), 12)
     assert p_ub_list(dist, 1) == p_ub(dist)
+    # p_ub is the l = 1 list bound, bit for bit the direct sum_i Pr{C=i}/(i+1)
+    for n_bits in (1, 2, 3, 4):
+        for value in range(2 ** n_bits):
+            marker = Marker(tuple((value >> k) & 1 for k in range(n_bits)))
+            for payload, cap in ((0, 32), (5, 32), (16, 32), (40, 32), (16, 2)):
+                d = occurrence_distribution(marker, payload, count_cap=cap)
+                assert p_ub(d) == p_ub_list(d, 1) == sum(
+                    p / (i + 1) for i, p in d.probs.items())
     vals = [p_ub_list(dist, l) for l in (1, 2, 3, 4, 6, 8)]
     assert all(a <= b for a, b in zip(vals, vals[1:]))
     # a list covering the whole support is certain to contain the truth

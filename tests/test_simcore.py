@@ -252,6 +252,10 @@ def test_seeded_stream_validation():
 def test_monte_carlo_config_validation():
     with pytest.raises(ValueError):
         MonteCarloConfig(0)
+    for bad in (1e4, 2.5, math.nan):
+        with pytest.raises(ValueError, match="trials"):
+            MonteCarloConfig(bad)
+    assert type(MonteCarloConfig(np.int64(10)).trials) is int
     mc = MonteCarloConfig(10, 3)
     assert mc.stream(1, 2) == SeededStream(3).derive(1, 2)
 
