@@ -10,20 +10,23 @@ sum_i Pr{C=i}/(i+1), and a list detector that keeps l candidates succeeds
 whenever C < l plus l/(i+1) otherwise.
 
 The distribution of C is computed exactly with a prefix-automaton dynamic
-program over the payload bits; the automaton starts in the full-match
-state so marker-suffix overlaps are handled without enumeration.  Each
-payload bit is two dense transfer matrices over the automaton states: one
-moves mass that completes no match, one row collects the mass that does
-and shifts it up one count.  Counts above a cap are lumped into a tail
-mass, which the bounds score as zero.  The marker search scores each
-distinct word once per call.
+program over the payload; the automaton starts in the full-match state so
+marker-suffix overlaps are handled without enumeration.  The program steps
+the payload a byte at a time: one transfer matrix, built from the state
+after each of the 256 bytes and the matches completed inside it, moves
+the joint law of (state, count) through a byte with one matrix product.
+The n mod 8 leftover bits step one at a time.  Counts above a cap are
+summed into a tail mass, which the bounds score as zero.  A word's law
+depends only on its autocorrelation (Guibas & Odlyzko, 1981), so the
+marker search scores each autocorrelation class once per call, and words
+of one class tie exactly.
 
-The Monte-Carlo detector checks the bound.  Without noise it needs no
-correlation at all: offset 0 correlates to exactly m, the most any offset
-can reach, and another offset ties it exactly when its window equals the
-marker.  So the tied peaks are offset 0 plus the C reproductions, and the
-detector counts C by running the same prefix automaton over the drawn
-payload a byte at a time.
+The Monte-Carlo detector checks the bound.  It draws the payload as
+packed bytes.  Without noise it needs no correlation at all: offset 0
+correlates to exactly m, the most any offset can reach, and another
+offset ties it exactly when its window equals the marker.  So the tied
+peaks are offset 0 plus the C reproductions, and the detector counts C by
+running the same prefix automaton over the drawn bytes.
 """
 
 from __future__ import annotations
@@ -133,6 +136,22 @@ def _prefix_automaton(bits: tuple) -> np.ndarray:
     return delta
 
 
+def _byte_tables(delta: np.ndarray):
+    """State after each payload byte, and the matches completed inside it.
+
+    Two (m+1) x 256 tables over the automaton delta, indexed [state, byte].
+    The first bit of a byte is its high bit, as np.packbits and
+    np.unpackbits order them.
+    """
+    m = delta.shape[0] - 1
+    after, hits = delta, (delta == m).astype(np.intp)
+    for _ in range(3):  # 1-, 2- and 4-bit tables doubled; the first half goes high
+        width = after.shape[1]
+        hits = (hits[:, :, None] + hits[after]).reshape(m + 1, width * width)
+        after = after[after].reshape(m + 1, width * width)
+    return after, hits
+
+
 def occurrence_distribution(marker: Marker, payload_bits: int,
                             count_cap: int = 32) -> OccurrenceDistribution:
     """Exact law of C for i.i.d. uniform payload bits behind the marker.
@@ -150,31 +169,37 @@ def occurrence_distribution(marker: Marker, payload_bits: int,
         return OccurrenceDistribution(marker, 0, {0: 1.0}, 0.0)
 
     cap = min(count_cap, payload_bits)
+    states = m + 1
     delta = _prefix_automaton(marker.bits)
-    # one payload bit as transfer matrices, 0.5 per input bit folded in:
-    # plain[target, source] moves mass without completing a match, and
-    # match[source] (row m of the full step) is the mass that completes one
-    plain = np.zeros((m + 1, m + 1))
-    for b in (0, 1):
-        plain[delta[:, b], np.arange(m + 1)] = 0.5
-    match = plain[m].copy()
-    plain[m] = 0.0
-
-    # joint law over (automaton state, count bucket); last bucket is the tail
-    prob = np.zeros((m + 1, cap + 2))
+    source = np.arange(states)[:, None]
+    # joint law over (automaton state, count 0..cap); the steps keep mass,
+    # so what passes the cap is summed once into the tail
+    prob = np.zeros((states, cap + 1))
     prob[m, 0] = 1.0  # the marker itself was just read; its match is not counted
-    for _ in range(payload_bits):
-        hit = match @ prob
-        prob = plain @ prob  # row m stays zero: only matches land there
-        prob[m, 1:] = hit[:-1]
-        prob[m, -1] += hit[-1]
+    tail = 0.0
+    one_bit = (delta, (delta == m).astype(np.intp))
+    for (after, hits), steps in ((_byte_tables(delta), payload_bits // 8),
+                                 (one_bit, payload_bits % 8)):
+        # whole bytes, then the leftover bits, each step one transfer matrix
+        # with the uniform input weight folded in: row k*(m+1) + t, column q
+        # is the mass moved from state q to state t completing k matches
+        k_max = int(hits.max())
+        step = np.bincount(((hits * states + after) * states + source).ravel(),
+                           minlength=(k_max + 1) * states * states)
+        step = step.reshape((k_max + 1) * states, states) / after.shape[1]
+        for _ in range(steps):
+            moved = (step @ prob).reshape(k_max + 1, states, cap + 1)
+            prob = moved[0]
+            for k in range(1, k_max + 1):
+                kept = max(cap + 1 - k, 0)  # counts that stay at or below the cap
+                prob[:, k:] += moved[k, :, :kept]
+                tail += float(moved[k, :, kept:].sum())
 
     by_count = prob.sum(axis=0)
-    tail = float(by_count[cap + 1])
-    total = float(by_count.sum())
+    total = float(by_count.sum()) + tail
     if abs(total - 1.0) > 1e-9:
         raise AssertionError(f"distribution mass drifted to {total}")
-    probs = {int(i): float(p) for i, p in enumerate(by_count[:cap + 1]) if p > 0.0}
+    probs = {int(i): float(p) for i, p in enumerate(by_count) if p > 0.0}
     return OccurrenceDistribution(marker, payload_bits, probs, tail)
 
 
@@ -224,13 +249,17 @@ def search_marker(n_bits: int, payload_bits: int, budget: int = 2048,
     if budget < 1:
         raise ValueError("budget must be >= 1")
 
-    # the climb revisits words; score each distinct word once per search
+    # a word's law depends only on its autocorrelation, so score each class
+    # once per search: the climb revisits classes, and words of one class
+    # tie exactly
     scores = {}
 
     def score(marker: Marker) -> float:
-        v = scores.get(marker.bits)
+        b = marker.bits
+        key = tuple(b[j:] == b[:n_bits - j] for j in range(1, n_bits))
+        v = scores.get(key)
         if v is None:
-            v = scores[marker.bits] = p_ub(
+            v = scores[key] = p_ub(
                 occurrence_distribution(marker, payload_bits, count_cap))
         return v
 
@@ -260,38 +289,32 @@ def search_marker(n_bits: int, payload_bits: int, budget: int = 2048,
 
 
 def _reproduction_counter(marker: Marker):
-    """Counter of the marker reproductions C in each row of a 0/1 payload array.
+    """Counter of the marker reproductions C in each row of packed payloads.
 
-    The returned function maps a (trials, n) integer array of payload bits
-    to the per-row count of offsets 1..n whose window equals the marker.
-    Every row starts the prefix automaton in the full-match state (the
-    marker was just read) and steps it through np.packbits bytes with two
-    (m+1) x 256 tables built here: the state after the byte and the matches
-    completed inside it.  The n mod 8 leftover bits step one at a time.
+    The returned function count(packed, n) maps a (trials, ceil(n/8))
+    uint8 array, each row n payload bits packed first bit high as by
+    np.packbits, to the per-row count of offsets 1..n whose window equals
+    the marker.  Every row starts the prefix automaton in the full-match
+    state (the marker was just read) and steps it through the whole bytes
+    with _byte_tables; the n mod 8 leading bits of the last byte step one
+    at a time, and its other bits are ignored.
     """
     m = len(marker)
     delta = _prefix_automaton(marker.bits)
-    byte = np.arange(256)
-    after = np.repeat(np.arange(m + 1)[:, None], 256, axis=1)
-    hits = np.zeros((m + 1, 256), dtype=np.intp)
-    for k in range(7, -1, -1):  # packbits puts the first bit in the high bit
-        after = delta[after, (byte >> k) & 1]
-        hits += after == m
-    after, hits = after.ravel(), hits.ravel()
+    after, hits = (table.ravel() for table in _byte_tables(delta))
 
-    def count(payload: np.ndarray) -> np.ndarray:
-        rows, n = payload.shape
-        whole = n - n % 8
-        state = np.full(rows, m, dtype=np.intp)
-        c = np.zeros(rows, dtype=np.intp)
-        packed = np.ascontiguousarray(np.packbits(payload[:, :whole], axis=1).T)
-        for col in packed:
+    def count(packed: np.ndarray, n: int) -> np.ndarray:
+        state = np.full(packed.shape[0], m, dtype=np.intp)
+        c = np.zeros(packed.shape[0], dtype=np.intp)
+        for col in np.ascontiguousarray(packed[:, :n // 8].T):
             ix = state * 256 + col
             c += hits[ix]
             state = after[ix]
-        for col in payload[:, whole:].T:
-            state = delta[state, col]
-            c += state == m
+        if n % 8:
+            last = packed[:, n // 8]
+            for k in range(7, 7 - n % 8, -1):
+                state = delta[state, (last >> k) & 1]
+                c += state == m
         return c
 
     return count
@@ -303,12 +326,14 @@ def simulate_sync(marker: Marker, payload_bits: int, snr_db,
 
     BPSK packet, sliding correlation over the in-packet offsets 0..payload
     (no samples outside the packet), argmax with uniform tie breaking.
+    Each trial draws its payload as ceil(n/8) uniform uint8 bytes, first
+    bit high, and ignores the bits past n.
     snr_db = None means noiseless reception, where the estimate converges
     to the p_ub bound exactly: offset 0 then correlates to m, which no
     offset can exceed, and an offset ties it exactly when its window
     reproduces the marker.  The ties are therefore 1 + C, and the
-    noiseless path counts C from the drawn bits without building the
-    packet or its correlations.
+    noiseless path counts C from the drawn bytes without unpacking them
+    or building the packet and its correlations.
     """
     m = len(marker)
     n = payload_bits
@@ -317,12 +342,16 @@ def simulate_sync(marker: Marker, payload_bits: int, snr_db,
     # the block layout and draws of both paths are the same, so the
     # noiseless estimate equals the correlation detector's bit for bit
     block = max(1, _SIM_BLOCK_ELEMS // max(m + n, 1))
+    n_bytes = (n + 7) // 8
+
+    def draw_payload(rng: np.random.Generator, count: int) -> np.ndarray:
+        return rng.integers(0, 256, size=(count, n_bytes), dtype=np.uint8)
 
     if snr_db is None:
         count_reproductions = _reproduction_counter(marker)
 
         def block_fn(rng: np.random.Generator, start: int, count: int):
-            ties = 1 + count_reproductions(rng.integers(0, 2, size=(count, n)))
+            ties = 1 + count_reproductions(draw_payload(rng, count), n)
             u = rng.random(count)
             return (np.count_nonzero(u * ties < 1.0),)
     else:
@@ -332,10 +361,10 @@ def simulate_sync(marker: Marker, payload_bits: int, snr_db,
         def block_fn(rng: np.random.Generator, start: int, count: int):
             packet = np.empty((count, m + n))
             packet[:, :m] = msym
-            if n:
-                # antipodal 1 - 2*bits built in place; the draws die right away
-                np.multiply(rng.integers(0, 2, size=(count, n)), -2.0, out=packet[:, m:])
-                packet[:, m:] += 1.0
+            # antipodal 1 - 2*bits built in place; the bits die right away
+            bits = np.unpackbits(draw_payload(rng, count), axis=1, count=n)
+            np.multiply(bits, -2.0, out=packet[:, m:])
+            packet[:, m:] += 1.0
             packet += rng.normal(0.0, sigma, packet.shape)
             corr = np.empty((count, n + 1))
             for j in range(n + 1):

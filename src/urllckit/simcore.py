@@ -186,6 +186,17 @@ def check_count(name: str, value, minimum: int = 1) -> int:
     return int(value)
 
 
+def _check_seed(name: str, value) -> int:
+    """value as an int; ValueError naming it unless an integer in [0, 2^64).
+
+    A fractional seed would otherwise be truncated by the uint64 key.
+    """
+    v = check_count(name, value, 0)
+    if v > _MASK64:
+        raise ValueError(f"{name} must fit in 64 bits, got {v}")
+    return v
+
+
 def _mix64(v: int) -> int:
     # splitmix64 finalizer: good avalanche, used only to spread substream ids
     v = (v + 0x9E3779B97F4A7C15) & _MASK64
@@ -209,9 +220,7 @@ class SeededStream:
 
     def __post_init__(self):
         for name in ("master_seed", "substream_id"):
-            v = getattr(self, name)
-            if not 0 <= v <= _MASK64:
-                raise ValueError(f"{name} must fit in 64 bits, got {v}")
+            object.__setattr__(self, name, _check_seed(name, getattr(self, name)))
 
     def _key(self) -> np.ndarray:
         return np.array([self.master_seed, self.substream_id], dtype=np.uint64)
@@ -241,6 +250,7 @@ class MonteCarloConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "trials", check_count("trials", self.trials))
+        object.__setattr__(self, "master_seed", _check_seed("master_seed", self.master_seed))
 
     def stream(self, *indices: int) -> SeededStream:
         return SeededStream(self.master_seed).derive(*indices)

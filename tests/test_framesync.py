@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -27,15 +27,46 @@ def brute_force_counts(marker: Marker, payload_bits: int) -> dict:
     Counts the offsets 1..payload_bits whose window reproduces the marker,
     windows straddling the marker/payload boundary included.
     """
-    m = marker.bits
-    probs = {}
-    weight = 0.5 ** payload_bits
-    for payload in itertools.product((0, 1), repeat=payload_bits):
-        s = m + payload
-        c = sum(1 for j in range(1, payload_bits + 1)
-                if s[j:j + len(m)] == m)
-        probs[c] = probs.get(c, 0.0) + weight
-    return probs
+    # each packet as one integer, first bit high; window j is a shifted slice
+    m, n = len(marker), payload_bits
+    word = int(marker.as_string(), 2)
+    packets = (word << n) | np.arange(2 ** n, dtype=np.int64)
+    counts = np.zeros(2 ** n, dtype=np.int64)
+    for j in range(1, n + 1):
+        counts += ((packets >> (n - j)) & (2 ** m - 1)) == word
+    return {c: k * 0.5 ** n for c, k in enumerate(np.bincount(counts)) if k}
+
+
+def autocorrelation(bits: tuple) -> tuple:
+    """Which shifts j = 1..m-1 of the word overlap it: bits[j:] == bits[:m-j]."""
+    return tuple(bits[j:] == bits[:len(bits) - j] for j in range(1, len(bits)))
+
+
+def exact_p_ub(bits: str, payload_bits: int) -> Fraction:
+    """Exact P_UB from integer payload counts, for cross-checking.
+
+    Steps the number of payloads per (automaton state, count) bit by bit.
+    A state is the longest marker prefix that ends the text read so far,
+    found by direct comparison; the marker itself was read first.
+    """
+    m = len(bits)
+
+    def step(q: int, b: str) -> int:
+        text = bits[:q] + b
+        return next(k for k in range(min(len(text), m), -1, -1)
+                    if text[len(text) - k:] == bits[:k])
+
+    table = {(q, b): step(q, b) for q in range(m + 1) for b in "01"}
+    ways = {(m, 0): 1}
+    for _ in range(payload_bits):
+        nxt: dict = {}
+        for (q, c), w in ways.items():
+            for b in "01":
+                t = table[q, b]
+                key = (t, c + (t == m))
+                nxt[key] = nxt.get(key, 0) + w
+        ways = nxt
+    return sum(Fraction(w, c + 1) for (_, c), w in ways.items()) / 2 ** payload_bits
 
 
 def test_two_bit_marker_exact_law():
@@ -63,6 +94,19 @@ def test_distribution_matches_enumeration(bits, payload):
         # dyadic rationals at these sizes, so equality is exact
         assert dist.probs[count] == prob
     assert dist.total_mass() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_equal_autocorrelation_gives_equal_law():
+    # the marker search scores one word per autocorrelation class; exhaustive
+    # over every word of up to 8 bits at payloads 0..14, n < m included
+    for m in range(1, 9):
+        laws = {}
+        for value in range(2 ** m):
+            marker = Marker(tuple((value >> (m - 1 - k)) & 1 for k in range(m)))
+            law = [brute_force_counts(marker, n) for n in range(15)]
+            assert laws.setdefault(autocorrelation(marker.bits), law) == law, marker
+        # the classes are few, so the check compares many words per class
+        assert len(laws) < 2 ** m
 
 
 @settings(max_examples=60, deadline=None)
@@ -166,29 +210,35 @@ def test_search_marker_deterministic():
     assert a == b
 
 
-# goldens computed with the per-bit np.add.at DP and a search that scored
-# every evaluation: transfer matrices and the memo keep the search path
-@pytest.mark.parametrize("n_bits,expected", [
-    (23, "00101000000110101011101"),
-    (24, "000001111111101010011101"),
-])
-def test_search_marker_golden(n_bits, expected):
+# goldens of the class-keyed search, next to the words it found before
+# scoring each autocorrelation class once, which are no better by the exact
+# P_UB; the ids name the inputs only, so a re-pin keeps the test names
+@pytest.mark.parametrize("n_bits,expected,previous", [
+    (23, "00101010101010101111101", "00101000000110101011101"),
+    (24, "001010101010101011101011", "000001111111101010011101"),
+], ids=["23", "24"])
+def test_search_marker_golden(n_bits, expected, previous):
     assert search_marker(n_bits, 256, budget=100, seed=1).as_string() == expected
+    exact = exact_p_ub(expected, 256)
+    assert exact >= exact_p_ub(previous, 256)
+    # the float DP agrees with the exact law to rounding
+    got = p_ub(occurrence_distribution(Marker.from_string(expected), 256))
+    assert abs(got - exact) <= 1e-14 * exact
 
 
-def test_search_marker_scores_each_distinct_word_once(monkeypatch):
+def test_search_marker_scores_each_autocorrelation_class_once(monkeypatch):
     seen = []
     original = framesync.occurrence_distribution
 
     def counting(marker, *args, **kwargs):
-        seen.append(marker.bits)
+        seen.append(autocorrelation(marker.bits))
         return original(marker, *args, **kwargs)
 
     monkeypatch.setattr(framesync, "occurrence_distribution", counting)
     best = search_marker(23, 256, budget=100, seed=1)
-    assert best.as_string() == "00101000000110101011101"
+    assert best.as_string() == "00101010101010101111101"
     assert len(seen) == len(set(seen))
-    # the climb revisits words, so a 100-evaluation budget scores fewer
+    # the climb revisits classes, so a 100-evaluation budget scores fewer
     assert len(seen) < 100
     # nothing is kept between searches
     seen.clear()
@@ -203,12 +253,13 @@ def test_search_marker_validation():
         search_marker(4, 8, budget=0)
 
 
-def correlation_ties(marker: Marker, payload: np.ndarray) -> np.ndarray:
+def correlation_ties(marker: Marker, payload: np.ndarray, noise=None):
     """Tied correlation peaks per trial, from the packet as the detector builds it.
 
-    The noiseless correlation block of the detector: the BPSK packet, the
-    correlation at every in-packet offset, its peak and the count of
-    offsets at the peak.  Offset 0 must be among them.
+    The correlation block of the detector: the BPSK packet plus the noise
+    samples, if any, the correlation at every in-packet offset, its peak
+    and the count of offsets at the peak.  Returns that count and whether
+    offset 0 is among them.
     """
     m = len(marker)
     count, n = payload.shape
@@ -216,12 +267,40 @@ def correlation_ties(marker: Marker, payload: np.ndarray) -> np.ndarray:
     packet = np.empty((count, m + n))
     packet[:, :m] = msym
     packet[:, m:] = 1.0 - 2.0 * payload
+    if noise is not None:
+        packet += noise
     corr = np.empty((count, n + 1))
     for j in range(n + 1):
         corr[:, j] = packet[:, j:j + m] @ msym
     peak = corr.max(axis=1)
-    assert (corr[:, 0] == peak).all()
-    return (corr == peak[:, None]).sum(axis=1)
+    return (corr == peak[:, None]).sum(axis=1), corr[:, 0] == peak
+
+
+def detector_replay(marker: Marker, payload_bits: int, snr_db, mc: MonteCarloConfig):
+    """Correct-sync estimate of correlation_ties over simulate_sync's draws.
+
+    Replays the stream layout: blocks of 2^22 // (m + n) trials, block b
+    drawing from mc.stream(102, m, n).block_generator(b) the payload as
+    ceil(n/8) uint8 bytes per trial (first bit high), then the noise, then
+    the tie-break uniforms.
+    """
+    m, n = len(marker), payload_bits
+    block = 2 ** 22 // (m + n)
+    stream = mc.stream(102, m, n)
+    wins = 0
+    for b, start in enumerate(range(0, mc.trials, block)):
+        count = min(block, mc.trials - start)
+        rng = stream.block_generator(b)
+        packed = rng.integers(0, 256, size=(count, (n + 7) // 8), dtype=np.uint8)
+        payload = np.unpackbits(packed, axis=1, count=n)
+        noise = None if snr_db is None else rng.normal(
+            0.0, 10.0 ** (-snr_db / 20.0), (count, m + n))
+        ties, at_true = correlation_ties(marker, payload, noise)
+        if noise is None:
+            assert at_true.all()
+        u = rng.random(count)
+        wins += np.count_nonzero(at_true & (u * ties < 1.0))
+    return wins / mc.trials
 
 
 @pytest.mark.parametrize("bits", [
@@ -238,8 +317,15 @@ def test_reproduction_count_equals_detector_ties(bits, payload_bits):
         (rng.random((500, payload_bits)) < 0.1).astype(np.int64),
         (rng.random((500, payload_bits)) < 0.9).astype(np.int64),
     ])
-    counts = framesync._reproduction_counter(marker)(payload)
-    assert np.array_equal(1 + counts, correlation_ties(marker, payload))
+    packed = np.packbits(payload, axis=1)
+    if payload_bits % 8:
+        # the bits past n in the last byte are drawn too, and must not count
+        pad = (1 << (8 - payload_bits % 8)) - 1
+        packed[:, -1] |= rng.integers(0, 256, size=len(packed), dtype=np.uint8) & pad
+    counts = framesync._reproduction_counter(marker)(packed, payload_bits)
+    ties, at_true = correlation_ties(marker, payload)
+    assert at_true.all()
+    assert np.array_equal(1 + counts, ties)
 
 
 def test_simulate_sync_noiseless_matches_bound():
@@ -276,26 +362,43 @@ def test_simulate_sync_worker_invariance():
     assert a == b
 
 
+# goldens from detector_replay, the correlation detector of this file over
+# the packed draws; test_sync_goldens_replay_the_detector recomputes them
+FIVE_NINES_WORD = "000001111111101010011101"
+NOISELESS_GOLDENS = [
+    ("1010", 8, 20_000, 0.7658),
+    ("1010", 13, 20_000, 0.6669),
+    ("0000", 64, 20_000, 0.26),
+    ("110", 300, 40_000, 0.02595),  # three blocks
+]
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_simulate_sync_golden(workers):
-    # two blocks of draws at 256 payload bits; the values were computed with
-    # the block built out of place, so building it in place keeps every draw
-    marker = Marker.from_string("000001111111101010011101")
+    # two blocks of draws at 256 payload bits
+    marker = Marker.from_string(FIVE_NINES_WORD)
     mc = MonteCarloConfig(20_000, 2)
-    assert simulate_sync(marker, 256, 3.0, mc, workers=workers) == 0.95895
+    assert simulate_sync(marker, 256, 3.0, mc, workers=workers) == 0.96055
     assert simulate_sync(marker, 256, None, mc, workers=workers) == 1.0
 
 
 # noiseless goldens where the marker often recurs, so the estimate is far
-# from 1 and carries the count; computed with the correlation detector
+# from 1 and carries the count
 @pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("bits,payload_bits,trials,expected", [
-    ("1010", 8, 20_000, 0.7617),
-    ("1010", 13, 20_000, 0.66815),
-    ("0000", 64, 20_000, 0.26375),
-    ("110", 300, 40_000, 0.0262),  # three blocks
-])
+@pytest.mark.parametrize("bits,payload_bits,trials,expected", NOISELESS_GOLDENS,
+                         ids=[f"{b}-{n}" for b, n, _, _ in NOISELESS_GOLDENS])
 def test_simulate_sync_noiseless_golden(bits, payload_bits, trials, expected, workers):
     mc = MonteCarloConfig(trials, 2)
     marker = Marker.from_string(bits)
     assert simulate_sync(marker, payload_bits, None, mc, workers=workers) == expected
+
+
+@pytest.mark.parametrize("bits,payload_bits,snr_db,trials,expected", [
+    (FIVE_NINES_WORD, 256, 3.0, 20_000, 0.96055),
+    (FIVE_NINES_WORD, 256, None, 20_000, 1.0),
+    *((b, n, None, t, e) for b, n, t, e in NOISELESS_GOLDENS),
+], ids=["24-256-3dB", "24-256", *(f"{b}-{n}" for b, n, _, _ in NOISELESS_GOLDENS)])
+def test_sync_goldens_replay_the_detector(bits, payload_bits, snr_db, trials, expected):
+    marker = Marker.from_string(bits)
+    mc = MonteCarloConfig(trials, 2)
+    assert detector_replay(marker, payload_bits, snr_db, mc) == expected

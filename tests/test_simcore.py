@@ -247,6 +247,21 @@ def test_seeded_stream_validation():
         SeededStream(-1)
     with pytest.raises(ValueError):
         SeededStream(0, 2 ** 64)
+    # a fractional seed is rejected by name, never truncated to its floor
+    with pytest.raises(ValueError, match="master_seed"):
+        SeededStream(1.5)
+    with pytest.raises(ValueError, match="substream_id"):
+        SeededStream(1, 2.0)
+    with pytest.raises(ValueError, match="master_seed"):
+        MonteCarloConfig(10, 2.9)
+    with pytest.raises(ValueError, match="master_seed"):
+        MonteCarloConfig(10, 2 ** 64)
+    # numpy integers pass and key the same stream as the Python int
+    for seed in (np.int64(3), np.uint64(3), np.int32(3)):
+        assert SeededStream(seed) == SeededStream(3)
+        assert MonteCarloConfig(10, seed).stream(1) == SeededStream(3).derive(1)
+    assert np.array_equal(SeededStream(np.uint64(2 ** 64 - 1), np.int64(7)).generator().random(4),
+                          SeededStream(2 ** 64 - 1, 7).generator().random(4))
 
 
 def test_monte_carlo_config_validation():
