@@ -210,14 +210,18 @@ def test_search_marker_deterministic():
     assert a == b
 
 
-# goldens of the class-keyed search, next to the words it found before
-# scoring each autocorrelation class once, which are no better by the exact
-# P_UB; the ids name the inputs only, so a re-pin keeps the test names
-@pytest.mark.parametrize("n_bits,expected,previous", [
-    (23, "00101010101010101111101", "00101000000110101011101"),
-    (24, "001010101010101011101011", "000001111111101010011101"),
-], ids=["23", "24"])
-def test_search_marker_golden(n_bits, expected, previous):
+# goldens of the class-keyed search, keyed by the word the search found
+# before it scored each autocorrelation class once; that word is no better
+# by the exact P_UB, and the case is named by its length and that word
+SEARCH_GOLDENS = {
+    "00101000000110101011101": "00101010101010101111101",
+    "000001111111101010011101": "001010101010101011101011",
+}
+
+
+@pytest.mark.parametrize("n_bits,previous", [(len(w), w) for w in SEARCH_GOLDENS])
+def test_search_marker_golden(n_bits, previous):
+    expected = SEARCH_GOLDENS[previous]
     assert search_marker(n_bits, 256, budget=100, seed=1).as_string() == expected
     exact = exact_p_ub(expected, 256)
     assert exact >= exact_p_ub(previous, 256)
@@ -226,15 +230,28 @@ def test_search_marker_golden(n_bits, expected, previous):
     assert abs(got - exact) <= 1e-14 * exact
 
 
-def test_search_marker_scores_each_autocorrelation_class_once(monkeypatch):
+def count_scored(monkeypatch, key) -> list:
+    """Patch the search's DP to record key(marker.bits) for every call."""
     seen = []
     original = framesync.occurrence_distribution
 
     def counting(marker, *args, **kwargs):
-        seen.append(autocorrelation(marker.bits))
+        seen.append(key(marker.bits))
         return original(marker, *args, **kwargs)
 
     monkeypatch.setattr(framesync, "occurrence_distribution", counting)
+    return seen
+
+
+def test_search_marker_scores_each_distinct_word_once(monkeypatch):
+    seen = count_scored(monkeypatch, lambda bits: bits)
+    search_marker(24, 256, budget=100, seed=1)
+    assert len(seen) == len(set(seen)) > 0
+    assert len(seen) < 100
+
+
+def test_search_marker_scores_each_autocorrelation_class_once(monkeypatch):
+    seen = count_scored(monkeypatch, autocorrelation)
     best = search_marker(23, 256, budget=100, seed=1)
     assert best.as_string() == "00101010101010101111101"
     assert len(seen) == len(set(seen))
@@ -371,6 +388,9 @@ NOISELESS_GOLDENS = [
     ("0000", 64, 20_000, 0.26),
     ("110", 300, 40_000, 0.02595),  # three blocks
 ]
+# the same estimates from the int64 bit draws the packed draws replaced: an
+# independent stream, so each golden lies within Monte-Carlo noise of these
+PREVIOUS_NOISELESS = [0.7617, 0.66815, 0.26375, 0.0262]
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -383,14 +403,21 @@ def test_simulate_sync_golden(workers):
 
 
 # noiseless goldens where the marker often recurs, so the estimate is far
-# from 1 and carries the count
+# from 1 and carries the count; a case is named by its inputs and the
+# estimate of the int64 draws
 @pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("bits,payload_bits,trials,expected", NOISELESS_GOLDENS,
-                         ids=[f"{b}-{n}" for b, n, _, _ in NOISELESS_GOLDENS])
-def test_simulate_sync_noiseless_golden(bits, payload_bits, trials, expected, workers):
+@pytest.mark.parametrize("bits,payload_bits,trials,previous,expected", [
+    (b, n, t, prev, e) for (b, n, t, e), prev in zip(NOISELESS_GOLDENS, PREVIOUS_NOISELESS)
+], ids=[f"{b}-{n}-{t}-{prev}" for (b, n, t, _), prev
+        in zip(NOISELESS_GOLDENS, PREVIOUS_NOISELESS)])
+def test_simulate_sync_noiseless_golden(bits, payload_bits, trials, previous,
+                                        expected, workers):
     mc = MonteCarloConfig(trials, 2)
     marker = Marker.from_string(bits)
     assert simulate_sync(marker, payload_bits, None, mc, workers=workers) == expected
+    # two independent estimates of one probability differ by noise only
+    sigma = np.sqrt(2.0 * expected * (1.0 - expected) / trials)
+    assert abs(expected - previous) <= 4.0 * sigma
 
 
 @pytest.mark.parametrize("bits,payload_bits,snr_db,trials,expected", [
