@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .simcore import check_count, union_error
+from .simcore import check_count, check_positive, check_probability, union_error
 
 __all__ = [
     "SCHEMES",
@@ -49,8 +49,7 @@ class AccessErrorProfile:
 
     def __post_init__(self):
         for name, v in self.as_dict().items():
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {v}")
+            check_probability(name, v)
 
     def as_dict(self) -> dict:
         return {
@@ -90,10 +89,8 @@ class RetransmissionModel:
     max_attempts: int
 
     def __post_init__(self):
-        if not 0.0 <= self.eps_attempt <= 1.0:
-            raise ValueError(f"eps_attempt must be in [0, 1], got {self.eps_attempt}")
-        if not self.attempt_latency_s > 0:
-            raise ValueError("attempt_latency_s must be positive")
+        check_probability("eps_attempt", self.eps_attempt)
+        check_positive("attempt_latency_s", self.attempt_latency_s)
         object.__setattr__(self, "max_attempts",
                            check_count("max_attempts", self.max_attempts))
 

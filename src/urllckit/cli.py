@@ -72,8 +72,10 @@ def _command_comment(argv) -> str:
     return "command: urllckit " + shlex.join(str(a) for a in argv)
 
 
-# strict bounds at -inf and inf let through every finite float and no other
+# strict bounds at -inf and inf let through every finite float and no other;
+# at 0 and inf, every positive finite float
 _finite_float = float_field(-math.inf, math.inf, strict=True)
+_positive_float = float_field(0.0, math.inf, strict=True)
 
 
 # ---- fbl -------------------------------------------------------------------
@@ -119,6 +121,12 @@ def _cmd_access(args, argv) -> int:
         eps_ack=args.eps_ack,
     )
     err = access.scheme_error(args.scheme, profile)
+    # built before any output, so a rejected model leaves no file behind
+    model = access.RetransmissionModel(
+        eps_attempt=err,
+        attempt_latency_s=args.attempt_latency_s,
+        max_attempts=args.max_attempts,
+    )
     doc = {
         "scheme": args.scheme,
         "overall_error": err,
@@ -131,11 +139,6 @@ def _cmd_access(args, argv) -> int:
     else:
         sys.stdout.write(text)
     if args.cdf_out:
-        model = access.RetransmissionModel(
-            eps_attempt=err,
-            attempt_latency_s=args.attempt_latency_s,
-            max_attempts=args.max_attempts,
-        )
         rows = [
             [k + 1, t, r]
             for k, (t, r) in enumerate(zip(model.attempt_times,
@@ -327,9 +330,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--gamma0-db-min", type=_finite_float, default=5.0)
     p.add_argument("--gamma0-db-max", type=_finite_float, default=40.0)
     p.add_argument("--points", type=int_field(1), default=20)
-    p.add_argument("--b0-hz", type=float_field(0.0, math.inf, strict=True), default=1e5)
-    p.add_argument("--latency-s", type=float_field(0.0, math.inf, strict=True),
-                   default=1e-3)
+    p.add_argument("--b0-hz", type=_positive_float, default=1e5)
+    p.add_argument("--latency-s", type=_positive_float, default=1e-3)
     p.add_argument("--data-bytes", type=int_field(1), default=16)
     p.add_argument("--metadata-bytes", type=int_field(0), default=16)
     p.add_argument("--eps", type=float_field(0.0, 1.0, strict=True), default=1e-5)
@@ -345,8 +347,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--eps-ack", type=float_field(0.0, 1.0), default=0.0)
     p.add_argument("--out", help="write JSON here instead of stdout")
     p.add_argument("--cdf-out", help="also write the latency-CDF staircase CSV")
-    p.add_argument("--attempt-latency-s", type=float_field(0.0, strict=True),
-                   default=1e-3)
+    p.add_argument("--attempt-latency-s", type=_positive_float, default=1e-3)
     p.add_argument("--max-attempts", type=int_field(1), default=10)
     p.set_defaults(handler=_cmd_access)
 
@@ -396,7 +397,7 @@ def _build_parser() -> _Parser:
                                 parser_class=_Parser)
     p = rs_sub.add_parser("sweep", parents=[common, outp],
                           help="throughput ratio vs training length")
-    p.add_argument("--theta", type=float_field(0.0, strict=True), default=10.0)
+    p.add_argument("--theta", type=_positive_float, default=10.0)
     p.add_argument("--eps", type=float_field(0.0, 1.0, strict=True), default=1e-3)
     p.add_argument("--xi", type=float_field(0.0, 1.0, strict=True), default=1e-3)
     p.add_argument("--n-values", type=list_field(int_field(1)),

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .simcore import bisect, check_count, q_function, union_error
+from .simcore import (bisect, check_count, check_positive, check_probability,
+                      q_function, union_error)
 
 __all__ = [
     "LOG2E",
@@ -61,10 +62,7 @@ class LinkBudget:
 
     def __post_init__(self):
         for name in ("gamma0", "b0_hz", "latency_s"):
-            v = np.asarray(getattr(self, name), dtype=float)
-            for ok, what in ((v > 0, "positive"), (np.isfinite(v), "finite")):
-                if not ok.all():
-                    raise ValueError(f"{name} must be {what}, got {v.flat[ok.argmin()]}")
+            check_positive(name, getattr(self, name))
         with np.errstate(over="ignore"):
             bits = np.asarray(asymptotic_bits(self))
         if not np.isfinite(bits).all():
@@ -224,8 +222,7 @@ def min_bandwidth(budget: LinkBudget, pkt: PacketSpec, eps_target: float,
     """
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
-    if not 0.0 < eps_target < 1.0:
-        raise ValueError(f"eps_target must be in (0, 1), got {eps_target}")
+    check_probability("eps_target", eps_target, strict=True)
 
     gamma0 = np.asarray(budget.gamma0, dtype=float)
     ceiling = asymptotic_bits(budget)

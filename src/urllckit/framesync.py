@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .simcore import MonteCarloConfig, SeededStream, run_monte_carlo
+from .simcore import MonteCarloConfig, SeededStream, check_count, run_monte_carlo
 
 __all__ = [
     "Marker",
@@ -76,9 +76,7 @@ class Marker:
     @classmethod
     def alternating(cls, n_bits: int) -> "Marker":
         """The 1010... word of length n_bits; the search's baseline candidate."""
-        if n_bits < 1:
-            raise ValueError("n_bits must be >= 1")
-        return cls(tuple((i + 1) % 2 for i in range(n_bits)))
+        return cls(tuple((i + 1) % 2 for i in range(check_count("n_bits", n_bits))))
 
     def __len__(self) -> int:
         return len(self.bits)
@@ -160,10 +158,8 @@ def occurrence_distribution(marker: Marker, payload_bits: int,
     are dyadic rationals, so for payloads up to ~50 bits the float
     arithmetic here is exact.
     """
-    if payload_bits < 0:
-        raise ValueError("payload_bits must be nonnegative")
-    if count_cap < 1:
-        raise ValueError("count_cap must be >= 1")
+    payload_bits = check_count("payload_bits", payload_bits, 0)
+    count_cap = check_count("count_cap", count_cap)
     m = len(marker)
     if payload_bits == 0:
         return OccurrenceDistribution(marker, 0, {0: 1.0}, 0.0)
@@ -217,8 +213,7 @@ def p_ub_list(dist: OccurrenceDistribution, list_len: int) -> float:
 
     Nondecreasing in l.  Tail mass contributes zero.
     """
-    if list_len < 1:
-        raise ValueError("list_len must be >= 1")
+    list_len = check_count("list_len", list_len)
     acc = 0.0
     for i, p in dist.probs.items():
         acc += p if i < list_len else p * list_len / (i + 1)
@@ -244,10 +239,8 @@ def search_marker(n_bits: int, payload_bits: int, budget: int = 2048,
     single-bit flips with random restarts.  The alternating word is always
     evaluated first, so the result is never worse than it.
     """
-    if n_bits < 1:
-        raise ValueError("n_bits must be >= 1")
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
+    n_bits = check_count("n_bits", n_bits)
+    budget = check_count("budget", budget)
 
     # a word's law depends only on its autocorrelation, so score each class
     # once per search: the climb revisits classes, and words of one class
@@ -336,9 +329,7 @@ def simulate_sync(marker: Marker, payload_bits: int, snr_db,
     or building the packet and its correlations.
     """
     m = len(marker)
-    n = payload_bits
-    if n < 0:
-        raise ValueError("payload_bits must be nonnegative")
+    n = check_count("payload_bits", payload_bits, 0)
     # the block layout and draws of both paths are the same, so the
     # noiseless estimate equals the correlation detector's bit for bit
     block = max(1, _SIM_BLOCK_ELEMS // max(m + n, 1))

@@ -50,6 +50,7 @@ from .simcore import (
     MonteCarloConfig,
     SeededStream,
     check_count,
+    check_positive,
     collect_monte_carlo,
     q_function,
     run_monte_carlo,
@@ -103,8 +104,7 @@ _EVAL_BLOCK = 2048
 
 def ula_steering(angles_deg, n_antennas: int) -> np.ndarray:
     """Unit-norm steering columns of a half-wavelength ULA, one per angle."""
-    if n_antennas < 1:
-        raise ValueError("n_antennas must be >= 1")
+    n_antennas = check_count("n_antennas", n_antennas)
     a = np.deg2rad(np.atleast_1d(np.asarray(angles_deg, dtype=float)))
     k = np.arange(n_antennas)[:, None]
     return np.exp(1j * math.pi * k * np.sin(a)[None, :]) / math.sqrt(n_antennas)
@@ -126,8 +126,7 @@ class PathCluster:
             raise ValueError("departure, arrival, powers must have equal length")
         if len(pw) == 0:
             raise ValueError("need at least one path")
-        if any(p <= 0 for p in pw):
-            raise ValueError("path powers must be positive")
+        check_positive("powers", self.powers)
         object.__setattr__(self, "departure_deg", dep)
         object.__setattr__(self, "arrival_deg", arr)
         object.__setattr__(self, "powers", pw)
@@ -180,8 +179,7 @@ def random_cluster_spec(
     departure spread models terminals in rich local scattering seen through
     a narrow departure sector.
     """
-    if paths < 1:
-        raise ValueError("paths must be >= 1")
+    paths = check_count("paths", paths)
     arr_spread = spread_deg if arrival_spread_deg is None else arrival_spread_deg
     if spread_deg < 0 or arr_spread < 0 or span_db < 0:
         raise ValueError("spreads and span_db must be nonnegative")

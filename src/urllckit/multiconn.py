@@ -16,9 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-import numpy as np
-
-from .simcore import union_error
+from .simcore import check_count, check_probability, union_error
 
 __all__ = [
     "ARCHITECTURES",
@@ -31,11 +29,6 @@ __all__ = [
 ARCHITECTURES = ("single", "dc", "ifd")
 
 
-def _check_prob(name: str, v: float) -> None:
-    if not 0.0 <= v <= 1.0:
-        raise ValueError(f"{name} must be in [0, 1], got {v}")
-
-
 @dataclass(frozen=True)
 class Interface:
     """One access option: wireless link reliability and its core reliability."""
@@ -44,8 +37,8 @@ class Interface:
     r_core: float
 
     def __post_init__(self):
-        _check_prob("r_link", self.r_link)
-        _check_prob("r_core", self.r_core)
+        check_probability("r_link", self.r_link)
+        check_probability("r_core", self.r_core)
 
 
 @dataclass(frozen=True)
@@ -62,7 +55,7 @@ class ReliabilityChain:
         for i in self.interfaces:
             if not isinstance(i, Interface):
                 raise TypeError(f"interfaces must be Interface, got {type(i)!r}")
-        _check_prob("r_far", self.r_far)
+        check_probability("r_far", self.r_far)
 
 
 def _outage(chain: ReliabilityChain, arch: str, q_link=None,
@@ -108,11 +101,11 @@ def outage_sweep(chain: ReliabilityChain, link_outages: Iterable[float],
     stay fixed.  The swept outage enters the algebra as it is, never as a
     reliability 1 - q.
     """
-    if not 0 <= vary_index < len(chain.interfaces):
+    if check_count("vary_index", vary_index, 0) >= len(chain.interfaces):
         raise ValueError(f"vary_index {vary_index} out of range")
     rows = []
-    for q in np.asarray(list(link_outages), dtype=float):
-        _check_prob("link outage", float(q))
+    for q in link_outages:
+        q = check_probability("link outage", q)
         for arch in archs:
-            rows.append((float(q), arch, _outage(chain, arch, float(q), vary_index)))
+            rows.append((q, arch, _outage(chain, arch, q, vary_index)))
     return rows

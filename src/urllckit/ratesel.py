@@ -27,6 +27,9 @@ import numpy as np
 from .simcore import (
     MonteCarloConfig,
     bisect,
+    check_count,
+    check_positive,
+    check_probability,
     reg_lower_gamma,
     run_monte_carlo,
 )
@@ -66,8 +69,7 @@ class RayleighScenario:
     theta: float
 
     def __post_init__(self):
-        if not self.theta > 0:
-            raise ValueError(f"theta must be positive, got {self.theta}")
+        check_positive("theta", self.theta)
 
 
 def outage_probability(theta, rate):
@@ -106,10 +108,8 @@ def ml_estimate(samples) -> float:
 
 def ar_epsilon(n: int, eps: float) -> float:
     """Back-off whose training-averaged outage equals eps for every theta."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if not 0.0 < eps < 1.0:
-        raise ValueError("eps must be in (0, 1)")
+    n = check_count("n", n)
+    check_probability("eps", eps, strict=True)
     return -math.expm1(-n * math.expm1(-math.log1p(-eps) / n))
 
 
@@ -119,10 +119,8 @@ def ar_outage_sup(n: int, eps_n: float) -> float:
     Inverse companion of ar_epsilon: ar_outage_sup(n, ar_epsilon(n, eps))
     returns eps.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if not 0.0 < eps_n < 1.0:
-        raise ValueError("eps_n must be in (0, 1)")
+    n = check_count("n", n)
+    check_probability("eps_n", eps_n, strict=True)
     return -math.expm1(-n * math.log1p(-math.log1p(-eps_n) / n))
 
 
@@ -133,12 +131,9 @@ def pcr_epsilon(n: int, eps: float, xi: float) -> float:
     increasing in eps_n and free of theta; solved by bisection on
     (1e-15, eps].
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if not 0.0 < eps < 1.0:
-        raise ValueError("eps must be in (0, 1)")
-    if not 0.0 < xi < 1.0:
-        raise ValueError("xi must be in (0, 1)")
+    n = check_count("n", n)
+    check_probability("eps", eps, strict=True)
+    check_probability("xi", xi, strict=True)
 
     log_target = math.log1p(-eps)
 
@@ -165,11 +160,9 @@ class BackoffPolicy:
     def __post_init__(self):
         if self.kind not in ("ar", "pcr"):
             raise ValueError(f"kind must be 'ar' or 'pcr', got {self.kind!r}")
-        if not 0.0 < self.eps < 1.0:
-            raise ValueError("eps must be in (0, 1)")
+        check_probability("eps", self.eps, strict=True)
         if self.kind == "pcr":
-            if self.xi is None or not 0.0 < self.xi < 1.0:
-                raise ValueError("pcr needs xi in (0, 1)")
+            check_probability("xi", self.xi, strict=True)
 
     def epsilon_n(self, n: int) -> float:
         if self.kind == "ar":
@@ -204,8 +197,7 @@ def throughput_ratio(scenario: RayleighScenario, policy: BackoffPolicy, n: int,
     (the ar target) and the fraction of trials whose conditional outage
     exceeds eps (the pcr target).
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = check_count("n", n)
     theta = scenario.theta
     eps = policy.eps
     eps_n = policy.epsilon_n(n)

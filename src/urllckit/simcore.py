@@ -2,8 +2,9 @@
 
 Everything downstream leans on four numeric primitives (Gaussian tail,
 regularized lower incomplete gamma, bisection, and the union of independent
-failures, kept in the error domain so 1e-17 stays 1e-17), the check that
-a count is an integer, and a reproducible stream abstraction.
+failures, kept in the error domain so 1e-17 stays 1e-17), the three input
+checks (a count is an integer, a probability a real in [0, 1], a positive
+parameter a finite real above 0), and a reproducible stream abstraction.
 MonteCarloConfig.stream is the one rule that keys a simulation's stream
 from its master seed.  Streams are keyed Philox generators: the
 (master_seed, substream_id) pair is the 128-bit key, so equal pairs give
@@ -30,6 +31,8 @@ __all__ = [
     "union_error",
     "bisect",
     "check_count",
+    "check_probability",
+    "check_positive",
     "SeededStream",
     "MonteCarloConfig",
     "run_monte_carlo",
@@ -186,6 +189,33 @@ def check_count(name: str, value, minimum: int = 1) -> int:
     return int(value)
 
 
+def check_probability(name: str, value, *, strict: bool = False) -> float:
+    """value as a float; ValueError naming it unless a real in [0, 1].
+
+    strict asks for the open interval (0, 1).  NaN fails either way, and so
+    does anything that is not a real number (a string, None, a complex).
+    """
+    if not isinstance(value, numbers.Real) or not (
+            0.0 < value < 1.0 if strict else 0.0 <= value <= 1.0):
+        raise ValueError(f"{name} must be in {'(0, 1)' if strict else '[0, 1]'}, "
+                         f"got {value}")
+    return float(value)
+
+
+def check_positive(name: str, value) -> None:
+    """ValueError naming value unless it, or each element of it, is finite and > 0.
+
+    Arrays and sequences are checked elementwise; the message gives the
+    first offending element.  Strings, booleans and complex values fail.
+    """
+    v = np.asarray(value)
+    if v.dtype.kind not in "iuf":
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    for ok, what in ((v > 0, "positive"), (np.isfinite(v), "finite")):
+        if not ok.all():
+            raise ValueError(f"{name} must be {what}, got {float(v.flat[ok.argmin()])}")
+
+
 def _check_seed(name: str, value) -> int:
     """value as an int; ValueError naming it unless an integer in [0, 2^64).
 
@@ -263,10 +293,8 @@ def _run_blocks(trials, block_size, stream, block_fn, workers):
     stream.block_generator(b), so the partials depend only on
     (trials, block_size, stream), never on the worker count.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if block_size < 1:
-        raise ValueError("block_size must be >= 1")
+    check_count("trials", trials)
+    check_count("block_size", block_size)
     n_blocks = (trials + block_size - 1) // block_size
     spans = [
         (b, b * block_size, min(block_size, trials - b * block_size))

@@ -58,6 +58,8 @@ def test_invalid_value_rejected(tmp_path, capsys):
     ("ratesel sweep", "--xi", "1"),
     ("ratesel sweep", "--constraints", "bogus"),
     ("ratesel sweep", "--n-values", ""),
+    ("ratesel sweep", "--theta", "inf"),
+    ("access --scheme static", "--attempt-latency-s", "inf"),
     ("multiconn sweep", "--far-rel", "1.5"),
     ("multiconn sweep", "--archs", "bogus"),
 ])
@@ -85,6 +87,8 @@ _FLAG_REASONS = {
     ("--xi", "1"): "must be < 1.0, got 1.0",
     ("--constraints", "bogus"): "must be one of ('ar', 'pcr'), got 'bogus'",
     ("--n-values", ""): "empty list",
+    ("--theta", "inf"): "must be < inf, got inf",
+    ("--attempt-latency-s", "inf"): "must be < inf, got inf",
     ("--far-rel", "1.5"): "must be <= 1.0, got 1.5",
     ("--archs", "bogus"): "must be one of ('single', 'dc', 'ifd'), got 'bogus'",
 }

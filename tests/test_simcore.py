@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -15,6 +16,8 @@ from urllckit.simcore import (
     NoBracketError,
     SeededStream,
     bisect,
+    check_positive,
+    check_probability,
     collect_monte_carlo,
     log_q_function,
     q_function,
@@ -273,6 +276,64 @@ def test_monte_carlo_config_validation():
     assert type(MonteCarloConfig(np.int64(10)).trials) is int
     mc = MonteCarloConfig(10, 3)
     assert mc.stream(1, 2) == SeededStream(3).derive(1, 2)
+
+
+@pytest.mark.parametrize("value", [0, 0.0, 1e-300, 0.5, 1.0 - 2 ** -53, 1, 1.0,
+                                   np.float64(0.25), np.float32(1.0), np.int64(0),
+                                   Fraction(1, 3)])
+def test_check_probability_accepts_the_closed_interval(value):
+    out = check_probability("p", value)
+    assert type(out) is float and out == float(value)
+    if 0.0 < value < 1.0:
+        assert check_probability("p", value, strict=True) == float(value)
+    else:
+        with pytest.raises(ValueError, match=r"^p must be in \(0, 1\), got "):
+            check_probability("p", value, strict=True)
+
+
+@pytest.mark.parametrize("value", [-1e-300, -1.0, 1.0 + 2 ** -52, 2, math.nan,
+                                   math.inf, -math.inf, np.float64(math.nan),
+                                   np.float64(1.5), "0.5", None, 0.5 + 0j, [0.5]])
+@pytest.mark.parametrize("strict", [False, True])
+def test_check_probability_rejects_by_name(value, strict):
+    interval = r"\(0, 1\)" if strict else r"\[0, 1\]"
+    with pytest.raises(ValueError, match=rf"^eps must be in {interval}, got "):
+        check_probability("eps", value, strict=strict)
+
+
+def test_check_probability_prints_the_value():
+    with pytest.raises(ValueError, match=r"^link outage must be in \[0, 1\], got 2.0$"):
+        check_probability("link outage", np.float64(2.0))
+
+
+@pytest.mark.parametrize("value", [1e-300, 1, 2.5, 1.7e308, np.float32(2.0), np.int64(3),
+                                   [1.0, 2.0], (5e-324,), np.array([[1.0, 4.0]])])
+def test_check_positive_accepts_finite_positive_values(value):
+    assert check_positive("x", value) is None
+
+
+@pytest.mark.parametrize("value,message", [
+    (0, "x must be positive, got 0.0"),
+    (-0.0, "x must be positive, got -0.0"),
+    (-1, "x must be positive, got -1.0"),
+    (math.nan, "x must be positive, got nan"),
+    (np.float64(math.nan), "x must be positive, got nan"),
+    (-math.inf, "x must be positive, got -inf"),
+    (math.inf, "x must be finite, got inf"),
+    (np.float64(math.inf), "x must be finite, got inf"),
+    # the first offending element, positivity checked before finiteness
+    (np.array([1.0, math.inf, 2.0]), "x must be finite, got inf"),
+    ([1.0, math.inf, -3.0, math.nan], "x must be positive, got -3.0"),
+    (np.array([[2.0, 1.0], [math.nan, 0.0]]), "x must be positive, got nan"),
+    ("1.5", "x must be a real number, got '1.5'"),
+    (["1.5"], "x must be a real number, got ['1.5']"),
+    (True, "x must be a real number, got True"),
+    (1 + 0j, "x must be a real number, got (1+0j)"),
+    (None, "x must be a real number, got None"),
+])
+def test_check_positive_rejects_by_name(value, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        check_positive("x", value)
 
 
 def _sum_block(rng, start, count):
