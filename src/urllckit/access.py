@@ -12,7 +12,7 @@ profile whose residual error is the attempt error to the power of the cap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -48,8 +48,8 @@ class AccessErrorProfile:
     eps_ack: float = 0.0
 
     def __post_init__(self):
-        for name, v in self.as_dict().items():
-            check_probability(name, v)
+        for f in fields(self):
+            check_probability(f.name, getattr(self, f.name))
 
     def as_dict(self) -> dict:
         return {

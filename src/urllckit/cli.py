@@ -314,7 +314,8 @@ def _build_parser() -> _Parser:
                         help="Monte-Carlo trial count where applicable")
     common.add_argument("--workers", type=int_field(1), default=1,
                         help="Monte-Carlo fan-out; never changes results "
-                             "(mimo runs on one thread and ignores it)")
+                             "(mimo ignores it: it runs on one thread, "
+                             "BLAS included)")
     outp = argparse.ArgumentParser(add_help=False)
     outp.add_argument("--out", required=True, help="output CSV path")
 

@@ -24,13 +24,26 @@ Each precoder is a fixed span from the covariances times per-realization
 coefficients (dominant right singular vector, one-hot pick, or 1).  As
 H = S_rx diag(alpha) S_tx^H, the projection H @ span is linear in the path
 gains alpha: evaluate builds each span's map from alpha once per call, so a
-block's projection is one GEMM, and it never forms a channel matrix or a
-full precoder per realization.  The dominant singular pair comes from the
-top eigenpair of the smaller Gram matrix (g g^H or g^H g, min(N, d)
-square); the coherent methods need only its eigenvalue sigma_max^2 and, for
-the matched filter, the left vector, so evaluate never forms their
-weights.  Blocks run on the calling thread: a block is a few milliseconds
-of small batched LAPACK calls, too little to pay for a thread pool.
+block's projection is one stacked product, and it never forms a channel
+matrix or a full precoder per realization.  The dominant singular pair
+comes from the top eigenpair of the smaller Gram matrix (g g^H or g^H g,
+min(N, d) square); a coherent method with its matched filter collects
+sigma_max^2, so evaluate needs only that eigenvalue and never forms their
+weights.
+
+evaluate computes no cross interference.  The other terminal's span lies
+in the orthogonal complement of the observed terminal's transmit support,
+which the columns of its S_tx span, so H_0 f = S_rx diag(alpha) S_tx^H f
+is zero by construction for every f on that span.  In floating point the
+term is rounding noise: user_power |r^H H_0 f|^2 stays below 1e-20 up to
+60 dB, and adding it to the unit noise power changed no SINR bit.
+
+Everything runs on the calling thread, BLAS included.  A block is a few
+milliseconds of small batched products and LAPACK calls, too little to pay
+for a thread pool.  So the calls are shaped to stay below OpenBLAS's
+threading sizes (a thin SVD, stacked per-row products, covariances formed
+only when read): a call large enough for the pool leaves its idle thread
+spinning for a tenth of a second, which doubled the CPU time of a run.
 
 Receivers: methods transmitting across all eigenvectors use a matched
 filter on the aggregate effective channel; the strongest-vector methods
@@ -50,6 +63,7 @@ from .simcore import (
     MonteCarloConfig,
     SeededStream,
     check_count,
+    check_nonnegative,
     check_positive,
     collect_monte_carlo,
     q_function,
@@ -180,9 +194,11 @@ def random_cluster_spec(
     a narrow departure sector.
     """
     paths = check_count("paths", paths)
-    arr_spread = spread_deg if arrival_spread_deg is None else arrival_spread_deg
-    if spread_deg < 0 or arr_spread < 0 or span_db < 0:
-        raise ValueError("spreads and span_db must be nonnegative")
+    check_nonnegative("spread_deg", spread_deg)
+    if arrival_spread_deg is None:
+        arrival_spread_deg = spread_deg
+    check_nonnegative("arrival_spread_deg", arrival_spread_deg)
+    check_nonnegative("span_db", span_db)
     rng = SeededStream(seed).derive(_SCENARIO_TAG).generator()
     decay = np.power(10.0, -span_db / 10.0 * np.arange(paths) / max(paths - 1, 1))
     if normalize_power:
@@ -190,7 +206,7 @@ def random_cluster_spec(
     clusters = []
     for dep_c, arr_c in zip(departure_centers_deg, arrival_centers_deg):
         dep = dep_c + spread_deg * (rng.random(paths) - 0.5)
-        arr = arr_c + arr_spread * (rng.random(paths) - 0.5)
+        arr = arr_c + arrival_spread_deg * (rng.random(paths) - 0.5)
         clusters.append(PathCluster(tuple(dep), tuple(arr), tuple(decay)))
     return ClusterChannelSpec(tx_antennas, rx_antennas, tuple(clusters))
 
@@ -199,18 +215,28 @@ def random_cluster_spec(
 class CovariancePair:
     """Transmit/receive covariance of one terminal with eigenstructure.
 
+    tx_factor (M x P) and rx_factor (N x P) are the power-weighted steering
+    matrices, R = A A^H; r_tx and r_rx are formed from them only when read.
     tx_eigvals are the numerically nonzero transmit eigenvalues, descending,
     and tx_support (M x tx_rank) is the matching orthonormal basis, computed
-    from the power-weighted steering matrix so the span stays exact even
-    when the covariance eigenproblem is ill conditioned.  u_max is the
-    dominant receive eigenvector.
+    from tx_factor so the span stays exact even when the covariance
+    eigenproblem is ill conditioned.  u_max is the dominant receive
+    eigenvector.
     """
 
-    r_tx: np.ndarray
-    r_rx: np.ndarray
+    tx_factor: np.ndarray
+    rx_factor: np.ndarray
     tx_eigvals: np.ndarray
     tx_support: np.ndarray
     u_max: np.ndarray
+
+    @property
+    def r_tx(self) -> np.ndarray:
+        return self.tx_factor @ self.tx_factor.conj().T
+
+    @property
+    def r_rx(self) -> np.ndarray:
+        return self.rx_factor @ self.rx_factor.conj().T
 
     @property
     def tx_rank(self) -> int:
@@ -224,9 +250,9 @@ class CovariancePair:
 def _eig_from_weighted(a: np.ndarray):
     """Nonzero eigenvalues (descending) of a a^H and their orthonormal
     eigenvectors, from the thin factor a."""
-    # the full SVD, though only rank columns of u are kept: the thin one
-    # rounds u differently, which moves printed mimo SINRs in the 12th digit
-    u, s, _ = np.linalg.svd(a, full_matrices=True)
+    # the thin SVD: the full one computes a max(a.shape)-square u only to
+    # drop its columns past the rank, and OpenBLAS runs it on its thread pool
+    u, s, _ = np.linalg.svd(a, full_matrices=False)
     rank = int(np.count_nonzero(s > s[0] * max(a.shape) * np.finfo(float).eps))
     return s[:rank] ** 2, u[:, :rank]
 
@@ -251,8 +277,8 @@ def covariance(spec: ClusterChannelSpec, terminal: int) -> CovariancePair:
     a_rx = s_rx * sqrtp[None, :]
     tx_vals, tx_support = _eig_from_weighted(a_tx)
     return CovariancePair(
-        r_tx=a_tx @ a_tx.conj().T,
-        r_rx=a_rx @ a_rx.conj().T,
+        tx_factor=a_tx,
+        rx_factor=a_rx,
         tx_eigvals=tx_vals,
         tx_support=tx_support,
         u_max=_eig_from_weighted(a_rx)[1][:, 0],
@@ -278,8 +304,12 @@ def _gain_map(paths, span: np.ndarray) -> np.ndarray:
 
 
 def _project(alpha: np.ndarray, gain_map: np.ndarray, n_rx: int) -> np.ndarray:
-    """H_k @ span for every row alpha_k, (count, N, d), as one GEMM."""
-    return (alpha @ gain_map).reshape(alpha.shape[0], n_rx, -1)
+    """H_k @ span for every row alpha_k, (count, N, d).
+
+    A stacked product of rows, not one (count x P) GEMM: OpenBLAS runs
+    the GEMM on its thread pool, whose idle thread then spins.
+    """
+    return (alpha[:, None, :] @ gain_map).reshape(alpha.shape[0], n_rx, -1)
 
 
 def draw_channels(spec: ClusterChannelSpec, terminal: int, count: int,
@@ -478,12 +508,16 @@ def evaluate(
     """Monte-Carlo SINR and PER-vs-slot for terminal 0 under each method.
 
     Spatial multiplexing splits the total power equally between the two
-    simultaneously served users and keeps the (nulled) cross interference
-    in the SINR; time multiplexing gives the active user full power but
-    only every other slot.  Uncoded BPSK over payload_bits gives the
+    simultaneously served users; time multiplexing gives the active user
+    full power but only every other slot.  The zero-forcing methods null
+    the other user's beam from covariance alone, so the SINR carries no
+    cross interference (zero by construction, see the module docstring);
+    interference_free skips the nulling and, as a genie bound, counts no
+    interference either.  Uncoded BPSK over payload_bits gives the
     per-attempt PER, and slots multiply independent delivery opportunities
     (DEFAULT_ATTEMPTS_PER_SLOT: two per slot for methods that skip full
-    CSI training).  The blocks run on the calling thread.
+    CSI training).  The blocks run on the calling thread, and no BLAS call
+    starts a thread pool.
     """
     methods = tuple(methods)
     for m in methods:
@@ -505,17 +539,15 @@ def evaluate(
                          f"got {estimation_noise_std}")
 
     covs = (covariance(spec, 0), covariance(spec, 1))
-    # built once, reused per block; terminal 1 serves only the cross term
-    ctx = (_PrecoderContext(covs[0], covs[1]), _PrecoderContext(covs[1], covs[0]))
-    paths = (_steering_factors(spec, 0), _steering_factors(spec, 1))
-    gain_scale = [np.sqrt(p[2] / 2.0) for p in paths]
-    # per method: terminal 0 on its span, terminal 1 on its span, and the
-    # cross term (terminal 0's paths on terminal 1's span)
-    maps = {m: (_gain_map(paths[0], ctx[0].spans[m]),
-                _gain_map(paths[1], ctx[1].spans[m]),
-                _gain_map(paths[0], ctx[1].spans[m])) for m in methods}
+    # built once, reused per block; terminal 1 enters only through the
+    # projection, so it needs no context and no gain map of its own
+    ctx = _PrecoderContext(covs[0], covs[1])
+    paths = _steering_factors(spec, 0)
+    gain_scale = np.sqrt(paths[2] / 2.0)
+    other_scale = np.sqrt(np.asarray(spec.clusters[1].powers) / 2.0)
+    maps = {m: _gain_map(paths, ctx.spans[m]) for m in methods}
     n_rx = spec.rx_antennas
-    noise_scale = np.full(ctx[0].spans["strongest_sv_inst"].shape[1],
+    noise_scale = np.full(ctx.spans["strongest_sv_inst"].shape[1],
                           estimation_noise_std / math.sqrt(2.0))
 
     spatial = multiplexing == "space"
@@ -524,32 +556,29 @@ def evaluate(
     needs_inst_noise = estimation_noise_std > 0.0 and "strongest_sv_inst" in methods
 
     def block_fn(rng: np.random.Generator, start: int, count: int):
-        # the draw order below is the evaluation stream's layout
-        a1 = _complex_gaussian(rng, count, gain_scale[0])
-        a2 = _complex_gaussian(rng, count, gain_scale[1]) if spatial else None
+        # the draw order below is the evaluation stream's layout: terminal
+        # 1's gains are drawn in space multiplexing, though no SINR reads
+        # them, so that the estimation noise keeps its place in the stream
+        a1 = _complex_gaussian(rng, count, gain_scale)
+        if spatial:
+            _complex_gaussian(rng, count, other_scale)
         est = _complex_gaussian(rng, count, noise_scale) if needs_inst_noise else None
         sinr = np.empty((count, n_methods))
         for col, method in enumerate(methods):
-            own, other, cross_map = maps[method]
-            g1 = _project(a1, own, n_rx)
+            g1 = _project(a1, maps[method], n_rx)
             if method in _COHERENT:
-                # the matched filter u on the dominant pair collects
-                # sigma_max^2; interference_free needs no filter
-                sig, r = _top_singular(
-                    g1, "left" if method == "all_sv_coh" else None)
+                # the matched filter on the dominant pair collects sigma_max^2
+                sig = _top_singular(g1)[0]
             else:
-                c1 = _coefficients(method, ctx[0], g1,
+                c1 = _coefficients(method, ctx, g1,
                                    est if method == "strongest_sv_inst" else None)
                 heff = np.einsum("kid,kd->ki", g1, c1)
                 r = (heff / np.linalg.norm(heff, axis=1, keepdims=True)
-                     if method in _MATCHED_RX else ctx[0].u_max)
+                     if method in _MATCHED_RX else ctx.u_max)
                 sig = np.abs(np.sum(r.conj() * heff, axis=1)) ** 2
-            interf = 0.0
-            if spatial and method != "interference_free":
-                c2 = _coefficients(method, ctx[1], _project(a2, other, n_rx), None)
-                cross = np.einsum("kid,kd->ki", _project(a1, cross_map, n_rx), c2)
-                interf = np.abs(np.sum(r.conj() * cross, axis=1)) ** 2
-            sinr[:, col] = user_power * sig / (user_power * interf + 1.0)
+            # the zero-forcing cross term H_0 @ span_1 is zero by
+            # construction, so no SINR carries an interference term
+            sinr[:, col] = user_power * sig
         return (sinr,)
 
     (sinr_all,) = collect_monte_carlo(mc.trials, _EVAL_BLOCK, mc.stream(_EVAL_TAG, 0),

@@ -28,7 +28,9 @@ from .simcore import (
     MonteCarloConfig,
     bisect,
     check_count,
+    check_nonnegative,
     check_positive,
+    check_probabilities,
     check_probability,
     reg_lower_gamma,
     run_monte_carlo,
@@ -74,35 +76,30 @@ class RayleighScenario:
 
 def outage_probability(theta, rate):
     """P(log2(1+P) < rate) for exponential power with mean theta."""
+    check_positive("theta", theta)
+    check_nonnegative("rate", rate)
     th = np.asarray(theta, dtype=float)
     r = np.asarray(rate, dtype=float)
-    if np.any(th <= 0):
-        raise ValueError("theta must be positive")
-    if np.any(r < 0):
-        raise ValueError("rate must be nonnegative")
     out = -np.expm1(-(np.exp2(r) - 1.0) / th)
     return float(out) if out.ndim == 0 else out
 
 
 def outage_capacity(theta, eps):
     """Largest rate with outage at most eps: log2(1 - theta*ln(1-eps))."""
+    check_positive("theta", theta)
+    check_probabilities("eps", eps, strict=True)
     th = np.asarray(theta, dtype=float)
     e = np.asarray(eps, dtype=float)
-    if np.any(th <= 0):
-        raise ValueError("theta must be positive")
-    if np.any((e <= 0.0) | (e >= 1.0)):
-        raise ValueError("eps must be in (0, 1)")
     out = np.log2(1.0 - th * np.log1p(-e))
     return float(out) if out.ndim == 0 else out
 
 
 def ml_estimate(samples) -> float:
     """ML estimate of theta from observed powers: the sample mean."""
-    x = np.asarray(samples, dtype=float)
+    x = np.asarray(samples)
     if x.size == 0:
         raise ValueError("need at least one sample")
-    if np.any(x < 0):
-        raise ValueError("powers must be nonnegative")
+    check_nonnegative("samples", x)
     return float(x.mean())
 
 

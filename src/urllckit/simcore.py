@@ -2,9 +2,10 @@
 
 Everything downstream leans on four numeric primitives (Gaussian tail,
 regularized lower incomplete gamma, bisection, and the union of independent
-failures, kept in the error domain so 1e-17 stays 1e-17), the three input
-checks (a count is an integer, a probability a real in [0, 1], a positive
-parameter a finite real above 0), and a reproducible stream abstraction.
+failures, kept in the error domain so 1e-17 stays 1e-17), the input checks
+(a count is an integer, a probability a real in [0, 1], a positive or
+nonnegative parameter a finite real above or at 0; all but the count also
+elementwise over arrays), and a reproducible stream abstraction.
 MonteCarloConfig.stream is the one rule that keys a simulation's stream
 from its master seed.  Streams are keyed Philox generators: the
 (master_seed, substream_id) pair is the 128-bit key, so equal pairs give
@@ -32,7 +33,9 @@ __all__ = [
     "bisect",
     "check_count",
     "check_probability",
+    "check_probabilities",
     "check_positive",
+    "check_nonnegative",
     "SeededStream",
     "MonteCarloConfig",
     "run_monte_carlo",
@@ -202,18 +205,41 @@ def check_probability(name: str, value, *, strict: bool = False) -> float:
     return float(value)
 
 
-def check_positive(name: str, value) -> None:
-    """ValueError naming value unless it, or each element of it, is finite and > 0.
+def _check_elements(name: str, value, rules) -> None:
+    """ValueError naming value unless each element of it passes every rule.
 
-    Arrays and sequences are checked elementwise; the message gives the
-    first offending element.  Strings, booleans and complex values fail.
+    rules are (test on the array, description) pairs, tried in order; the
+    message gives the first offending element.  Arrays, sequences and
+    scalars are accepted; strings, booleans and complex values fail.
     """
     v = np.asarray(value)
     if v.dtype.kind not in "iuf":
         raise ValueError(f"{name} must be a real number, got {value!r}")
-    for ok, what in ((v > 0, "positive"), (np.isfinite(v), "finite")):
+    for test, what in rules:
+        ok = test(v)
         if not ok.all():
             raise ValueError(f"{name} must be {what}, got {float(v.flat[ok.argmin()])}")
+
+
+def check_probabilities(name: str, value, *, strict: bool = False) -> None:
+    """check_probability for value or each element of it; NaN and inf fail."""
+    if strict:
+        rule = (lambda v: (v > 0) & (v < 1), "in (0, 1)")
+    else:
+        rule = (lambda v: (v >= 0) & (v <= 1), "in [0, 1]")
+    _check_elements(name, value, (rule,))
+
+
+def check_positive(name: str, value) -> None:
+    """ValueError naming value unless it, or each element of it, is finite and > 0."""
+    _check_elements(name, value, ((lambda v: v > 0, "positive"),
+                                  (np.isfinite, "finite")))
+
+
+def check_nonnegative(name: str, value) -> None:
+    """ValueError naming value unless it, or each element of it, is finite and >= 0."""
+    _check_elements(name, value, ((lambda v: v >= 0, "nonnegative"),
+                                  (np.isfinite, "finite")))
 
 
 def _check_seed(name: str, value) -> int:

@@ -40,6 +40,11 @@ def _positive(label, name, call, valid):
                         id=f"{label}-{name}")
 
 
+def _nonnegative(label, name, call, valid):
+    return pytest.param(name, call, valid, (math.inf, math.nan, -1.0, "1"),
+                        id=f"{label}-{name}")
+
+
 _ROWS = [
     _count("ar_epsilon", "n", lambda n: ratesel.ar_epsilon(n, 1e-3), 100),
     _count("ar_outage_sup", "n", lambda n: ratesel.ar_outage_sup(n, 1e-3), 100),
@@ -70,7 +75,7 @@ _ROWS = [
         _CHAIN.interfaces, r_far=p), 0.9999),
     _probability("outage_sweep", "link outage",
                  lambda q: multiconn.outage_sweep(_CHAIN, [1e-3, q]), 1e-2),
-    _probability("AccessErrorProfile", "sync",
+    _probability("AccessErrorProfile", "eps_sync",
                  lambda p: access.AccessErrorProfile(eps_sync=p), 1e-5),
     _probability("RetransmissionModel", "eps_attempt", lambda p: access.RetransmissionModel(
         eps_attempt=p, attempt_latency_s=1e-3, max_attempts=3), 1e-2),
@@ -91,6 +96,21 @@ _ROWS = [
         eps_attempt=0.1, attempt_latency_s=v, max_attempts=3), 1e-3),
     _positive("PathCluster", "powers", lambda v: mimo.PathCluster(
         (0.0, 5.0), (10.0, 12.0), (1.0, v)), 0.5),
+    _positive("outage_probability", "theta", lambda v: ratesel.outage_probability(
+        [10.0, v], 1.0), 5.0),
+    _positive("outage_capacity", "theta", lambda v: ratesel.outage_capacity(
+        [10.0, v], 1e-3), 5.0),
+    _probability("outage_capacity", "eps", lambda p: ratesel.outage_capacity(
+        10.0, p), 1e-3, True),
+    _nonnegative("outage_probability", "rate", lambda v: ratesel.outage_probability(
+        10.0, [1.0, v]), 0.0),
+    _nonnegative("ml_estimate", "samples", lambda v: ratesel.ml_estimate([1.0, v]), 0.0),
+    _nonnegative("random_cluster_spec", "spread_deg", lambda v: mimo.random_cluster_spec(
+        4, paths=3, spread_deg=v), 0.0),
+    _nonnegative("random_cluster_spec", "arrival_spread_deg", lambda v: (
+        mimo.random_cluster_spec(4, paths=3, arrival_spread_deg=v)), 90.0),
+    _nonnegative("random_cluster_spec", "span_db", lambda v: mimo.random_cluster_spec(
+        4, paths=3, span_db=v), 0.0),
 ]
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -94,6 +95,11 @@ def test_random_cluster_spec_validation():
         random_cluster_spec(paths=0)
     with pytest.raises(ValueError):
         random_cluster_spec(spread_deg=-1.0)
+    # NaN and inf would build all-nan angles or all-zero powers downstream
+    for name in ("spread_deg", "arrival_spread_deg", "span_db"):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=rf"^{name} must be"):
+                random_cluster_spec(**{name: bad})
     # a fractional count would build non-unit steering columns downstream
     with pytest.raises(ValueError, match="tx_antennas"):
         random_cluster_spec(tx_antennas=2.5)
@@ -397,36 +403,24 @@ def _reference_weights(method, ctx, h, est):
     return c @ span.T
 
 
-# (N, paths): N = 1; N = 4 = d; N = 2 < d (Gram g g^H); N = 4 > d (g^H g)
-@pytest.mark.parametrize("multiplexing", ["space", "time"])
-@pytest.mark.parametrize("rx_antennas, paths", [
-    pytest.param(1, 4, id="1"),
-    pytest.param(4, 4, id="4"),
-    pytest.param(2, 4, id="2-paths4"),
-    pytest.param(4, 2, id="4-paths2"),
-])
-def test_evaluate_matches_channel_matrix_reference(rx_antennas, paths,
-                                                   multiplexing):
-    # evaluate projects path gains on fixed spans; redraw its first block as
-    # full channel matrices and recompute every SINR from weights built here
-    spec = random_cluster_spec(rx_antennas=rx_antennas, paths=paths, seed=1)
-    seed, trials, rho_db, std = 6, 1500, 3.0, 0.8
-    ev = evaluate(spec, METHODS, rho_db, multiplexing,
-                  MonteCarloConfig(trials, seed), estimation_noise_std=std)
-    space = multiplexing == "space"
+def _reference_terms(spec, seed, trials, std, space):
+    """Redraw evaluate's first block as full channel matrices.
+
+    Returns terminal 0's precoder context and, per method, the signal gain
+    and the cross-interference gain that the other terminal's beam leaves
+    after the receive filter (0.0 under time multiplexing and for
+    interference_free, which counts none), from weights built here.
+    """
     rng = SeededStream(seed).derive(mimo._EVAL_TAG, 0).block_generator(0)
     h1 = draw_channels(spec, 0, trials, rng)
     h2 = draw_channels(spec, 1, trials, rng) if space else None
     cov0, cov1 = covariance(spec, 0), covariance(spec, 1)
     ctx0 = mimo._PrecoderContext(cov0, cov1)
     ctx1 = mimo._PrecoderContext(cov1, cov0)
-    # the coherent span keeps every path, so N against paths picks the
-    # Gram branch the id names
-    assert ctx0.spans["all_sv_coh"].shape[1] == paths
     z = rng.standard_normal(
         (trials, 2, ctx0.spans["strongest_sv_inst"].shape[1]))
     est = (z[:, 0] + 1j * z[:, 1]) * (std / math.sqrt(2.0))
-    power = 10.0 ** (rho_db / 10.0) / (2.0 if space else 1.0)
+    terms = {}
     for method in METHODS:
         f1 = _reference_weights(
             method, ctx0, h1, est if method == "strongest_sv_inst" else None)
@@ -441,9 +435,73 @@ def test_evaluate_matches_channel_matrix_reference(rx_antennas, paths,
             cross = np.einsum("kij,kj->ki", h1, f2)
             interf = (np.abs(np.sum(heff.conj() * cross, axis=1)) ** 2 / sig
                       if matched else np.abs(cross @ u) ** 2)
+        terms[method] = (sig, interf)
+    return ctx0, terms
+
+
+# (N, paths): N = 1; N = 4 = d; N = 2 < d (Gram g g^H); N = 4 > d (g^H g)
+@pytest.mark.parametrize("multiplexing", ["space", "time"])
+@pytest.mark.parametrize("rx_antennas, paths", [
+    pytest.param(1, 4, id="1"),
+    pytest.param(4, 4, id="4"),
+    pytest.param(2, 4, id="2-paths4"),
+    pytest.param(4, 2, id="4-paths2"),
+])
+def test_evaluate_matches_channel_matrix_reference(rx_antennas, paths,
+                                                   multiplexing):
+    # evaluate projects path gains on fixed spans; redraw its first block as
+    # full channel matrices and recompute every SINR from weights built here,
+    # the cross interference included, which evaluate leaves out
+    spec = random_cluster_spec(rx_antennas=rx_antennas, paths=paths, seed=1)
+    seed, trials, rho_db, std = 6, 1500, 3.0, 0.8
+    ev = evaluate(spec, METHODS, rho_db, multiplexing,
+                  MonteCarloConfig(trials, seed), estimation_noise_std=std)
+    space = multiplexing == "space"
+    ctx0, terms = _reference_terms(spec, seed, trials, std, space)
+    # the coherent span keeps every path, so N against paths picks the
+    # Gram branch the id names
+    assert ctx0.spans["all_sv_coh"].shape[1] == paths
+    power = 10.0 ** (rho_db / 10.0) / (2.0 if space else 1.0)
+    for method, (sig, interf) in terms.items():
         ref = power * sig / (power * interf + 1.0)
         np.testing.assert_allclose(ev.results[method].sinr, ref,
                                    rtol=1e-9, atol=0)
+
+
+_EVAL_GEOMETRIES = {
+    "rx1": dict(rx_antennas=1),
+    "rx2": dict(rx_antennas=2),
+    "rich4": dict(rx_antennas=4, paths=4, spread_deg=1.0,
+                  arrival_spread_deg=120.0, span_db=3.0),
+}
+
+
+@pytest.mark.parametrize("std", [0.0, 0.5])
+@pytest.mark.parametrize("geometry", list(_EVAL_GEOMETRIES))
+def test_zero_forcing_cross_term_is_rounding_noise(geometry, std):
+    # evaluate drops the cross term: the other terminal's beam is nulled
+    # from covariance alone, so computed from full channels it is rounding
+    # noise, far below the half ulp (1.1e-16) of the unit noise power
+    spec = random_cluster_spec(seed=1, **_EVAL_GEOMETRIES[geometry])
+    _, terms = _reference_terms(spec, 6, 1500, std, True)
+    worst = max(float(np.max(interf)) for _, interf in terms.values())
+    assert worst > 0.0   # computed, not skipped
+    for rho_db in (0.0, 10.0, 20.0, 30.0, 40.0, 50.0, 60.0):
+        user_power = 10.0 ** (rho_db / 10.0) / 2.0
+        assert user_power * worst < 1e-20
+
+
+@pytest.mark.parametrize("geometry", ["rx1", "rich4"])
+def test_evaluate_starts_no_blas_thread(geometry):
+    # a BLAS call large enough for OpenBLAS's thread pool leaves the idle
+    # pool thread spinning for about 0.13 s, so process CPU time keeps
+    # running while the caller sleeps; evaluate's calls stay below that size
+    spec = random_cluster_spec(seed=1, **_EVAL_GEOMETRIES[geometry])
+    time.sleep(0.2)   # let any spin left by earlier tests end
+    evaluate(spec, METHODS, 10.0, "space", MonteCarloConfig(4096, 1))
+    cpu = time.process_time()
+    time.sleep(0.05)
+    assert time.process_time() - cpu < 0.01
 
 
 def _with_singular_values(sv, shape, rng, count):

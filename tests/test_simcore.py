@@ -16,7 +16,9 @@ from urllckit.simcore import (
     NoBracketError,
     SeededStream,
     bisect,
+    check_nonnegative,
     check_positive,
+    check_probabilities,
     check_probability,
     collect_monte_carlo,
     log_q_function,
@@ -334,6 +336,51 @@ def test_check_positive_accepts_finite_positive_values(value):
 def test_check_positive_rejects_by_name(value, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         check_positive("x", value)
+
+
+@pytest.mark.parametrize("value,message", [
+    (0.0, None),
+    (-0.0, None),
+    ([0, 2.5, 1.7e308], None),
+    (np.array([[0.0, 4.0]]), None),
+    (-1e-300, "x must be nonnegative, got -1e-300"),
+    (math.nan, "x must be nonnegative, got nan"),
+    (math.inf, "x must be finite, got inf"),
+    ([0.0, math.inf, -3.0], "x must be nonnegative, got -3.0"),
+    ("0", "x must be a real number, got '0'"),
+    (False, "x must be a real number, got False"),
+])
+def test_check_nonnegative_elementwise(value, message):
+    if message is None:
+        assert check_nonnegative("x", value) is None
+    else:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            check_nonnegative("x", value)
+
+
+@pytest.mark.parametrize("strict", [False, True])
+def test_check_probabilities_agrees_with_check_probability(strict):
+    # elementwise, an array fails exactly when one of its elements fails the
+    # scalar rule, and the message names the first such element
+    values = [0.0, 1e-300, 0.5, 1.0, -0.0, -1e-300, 1.0 + 2 ** -52, math.nan,
+              math.inf, -math.inf]
+    interval = "(0, 1)" if strict else "[0, 1]"
+    for v in values:
+        try:
+            check_probability("eps", v, strict=strict)
+            scalar_ok = True
+        except ValueError:
+            scalar_ok = False
+        row = np.array([0.5, v, 0.25])
+        if scalar_ok:
+            assert check_probabilities("eps", row, strict=strict) is None
+        else:
+            with pytest.raises(ValueError,
+                               match=f"^{re.escape(f'eps must be in {interval}, got {v}')}$"):
+                check_probabilities("eps", row, strict=strict)
+    for bad in ("0.5", None, 0.5 + 0j, True):
+        with pytest.raises(ValueError, match="^eps must be a real number"):
+            check_probabilities("eps", bad, strict=strict)
 
 
 def _sum_block(rng, start, count):
