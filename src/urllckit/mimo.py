@@ -362,6 +362,24 @@ class Precoder:
             raise ValueError(f"weights must be unit norm, got {n}")
 
 
+def _projected_support(own: CovariancePair, other: Optional[CovariancePair]):
+    """own's transmit eigenvectors projected away from other's support
+    (None skips the projection), their norms, and the mask of those that
+    keep a nonzero part; ValueError if none does, as then no zero-forcing
+    beam exists."""
+    v = own.tx_support
+    projected = v
+    if other is not None:
+        b = other.tx_support
+        projected = v - b @ (b.conj().T @ v)
+    norms = np.linalg.norm(projected, axis=0)
+    keep = norms > 1e-12
+    if not np.any(keep):
+        raise ValueError(
+            "own covariance support lies entirely in the interferer's span")
+    return projected, norms, keep
+
+
 class _PrecoderContext:
     """Static per-terminal quantities shared by every realization.
 
@@ -374,15 +392,7 @@ class _PrecoderContext:
         self.u_max = own.u_max
         v = own.tx_support
         lam = own.tx_eigvals
-        projected = v
-        if other is not None:
-            b = other.tx_support
-            projected = v - b @ (b.conj().T @ v)
-        norms = np.linalg.norm(projected, axis=0)
-        keep = norms > 1e-12
-        if not np.any(keep):
-            raise ValueError(
-                "own covariance support lies entirely in the interferer's span")
+        projected, norms, keep = _projected_support(own, other)
         # per-eigenvector unit directions (strongest-SV selection)
         directions = projected[:, keep] / norms[keep]
         # orthonormal basis of the projected subspace (coherent combining)
@@ -539,6 +549,10 @@ def evaluate(
                          f"got {estimation_noise_std}")
 
     covs = (covariance(spec, 0), covariance(spec, 1))
+    # terminal 1 enters no SINR, but the pairing still needs a zero-forcing
+    # beam for it: reject a spec whose terminal 1 support lies in terminal
+    # 0's span, as _PrecoderContext does for terminal 0
+    _projected_support(covs[1], covs[0])
     # built once, reused per block; terminal 1 enters only through the
     # projection, so it needs no context and no gain map of its own
     ctx = _PrecoderContext(covs[0], covs[1])

@@ -87,7 +87,7 @@ def outage_probability(theta, rate):
 def outage_capacity(theta, eps):
     """Largest rate with outage at most eps: log2(1 - theta*ln(1-eps))."""
     check_positive("theta", theta)
-    check_probabilities("eps", eps, strict=True)
+    check_probabilities("eps", eps)
     th = np.asarray(theta, dtype=float)
     e = np.asarray(eps, dtype=float)
     out = np.log2(1.0 - th * np.log1p(-e))
@@ -96,10 +96,10 @@ def outage_capacity(theta, eps):
 
 def ml_estimate(samples) -> float:
     """ML estimate of theta from observed powers: the sample mean."""
-    x = np.asarray(samples)
+    check_nonnegative("samples", samples)
+    x = np.asarray(samples, dtype=float)
     if x.size == 0:
         raise ValueError("need at least one sample")
-    check_nonnegative("samples", x)
     return float(x.mean())
 
 

@@ -3,9 +3,9 @@
 Everything downstream leans on four numeric primitives (Gaussian tail,
 regularized lower incomplete gamma, bisection, and the union of independent
 failures, kept in the error domain so 1e-17 stays 1e-17), the input checks
-(a count is an integer, a probability a real in [0, 1], a positive or
-nonnegative parameter a finite real above or at 0; all but the count also
-elementwise over arrays), and a reproducible stream abstraction.
+(a count is an integer, a probability a real in [0, 1] or, elementwise
+over arrays, in (0, 1), a positive or nonnegative parameter a finite real
+above or at 0, also elementwise), and a reproducible stream abstraction.
 MonteCarloConfig.stream is the one rule that keys a simulation's stream
 from its master seed.  Streams are keyed Philox generators: the
 (master_seed, substream_id) pair is the 128-bit key, so equal pairs give
@@ -221,13 +221,10 @@ def _check_elements(name: str, value, rules) -> None:
             raise ValueError(f"{name} must be {what}, got {float(v.flat[ok.argmin()])}")
 
 
-def check_probabilities(name: str, value, *, strict: bool = False) -> None:
-    """check_probability for value or each element of it; NaN and inf fail."""
-    if strict:
-        rule = (lambda v: (v > 0) & (v < 1), "in (0, 1)")
-    else:
-        rule = (lambda v: (v >= 0) & (v <= 1), "in [0, 1]")
-    _check_elements(name, value, (rule,))
+def check_probabilities(name: str, value) -> None:
+    """check_probability(strict=True) for value or each element of it: each
+    must lie in the open interval (0, 1), so NaN and inf fail."""
+    _check_elements(name, value, ((lambda v: (v > 0) & (v < 1), "in (0, 1)"),))
 
 
 def check_positive(name: str, value) -> None:

@@ -491,6 +491,18 @@ def test_zero_forcing_cross_term_is_rounding_noise(geometry, std):
         assert user_power * worst < 1e-20
 
 
+@pytest.mark.parametrize("multiplexing", ["space", "time"])
+@pytest.mark.parametrize("nested", [0, 1])
+def test_evaluate_rejects_nested_support(nested, multiplexing):
+    # a terminal whose transmit support lies in the other's span has no
+    # zero-forcing beam; terminal 1 enters no SINR but is checked as well
+    wide = PathCluster((0.0, 30.0), (0.0, 10.0), (0.6, 0.4))
+    inner = PathCluster((0.0,), (5.0,), (1.0,))
+    spec = ClusterChannelSpec(8, 1, (inner, wide) if nested == 0 else (wide, inner))
+    with pytest.raises(ValueError, match="lies entirely in the interferer's span"):
+        evaluate(spec, ZF_METHODS, 10.0, multiplexing, MonteCarloConfig(64, 1))
+
+
 @pytest.mark.parametrize("geometry", ["rx1", "rich4"])
 def test_evaluate_starts_no_blas_thread(geometry):
     # a BLAS call large enough for OpenBLAS's thread pool leaves the idle

@@ -70,6 +70,14 @@ def test_ml_estimate_is_sample_mean():
         ml_estimate([-1.0])
 
 
+def test_ml_estimate_averages_in_double():
+    # single-precision powers are averaged as doubles, not in their own
+    # precision, whose float32 sum gives a different mean
+    x = (np.arange(1, 100001) * 0.1).astype(np.float32)
+    assert float(x.mean()) != float(x.astype(float).mean())
+    assert ml_estimate(x) == float(x.astype(float).mean())
+
+
 @pytest.mark.parametrize("n,eps,expected", _REFERENCE["ar"])
 def test_ar_epsilon_reference(n, eps, expected):
     # abs=0: approx's default absolute tolerance of 1e-12 would swamp

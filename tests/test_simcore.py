@@ -358,29 +358,27 @@ def test_check_nonnegative_elementwise(value, message):
             check_nonnegative("x", value)
 
 
-@pytest.mark.parametrize("strict", [False, True])
-def test_check_probabilities_agrees_with_check_probability(strict):
+def test_check_probabilities_agrees_with_check_probability():
     # elementwise, an array fails exactly when one of its elements fails the
-    # scalar rule, and the message names the first such element
-    values = [0.0, 1e-300, 0.5, 1.0, -0.0, -1e-300, 1.0 + 2 ** -52, math.nan,
-              math.inf, -math.inf]
-    interval = "(0, 1)" if strict else "[0, 1]"
+    # scalar open-interval rule, and the message names the first such element
+    values = [0.0, 1e-300, 0.5, 1.0 - 2 ** -53, 1.0, -0.0, -1e-300,
+              1.0 + 2 ** -52, math.nan, math.inf, -math.inf]
     for v in values:
         try:
-            check_probability("eps", v, strict=strict)
+            check_probability("eps", v, strict=True)
             scalar_ok = True
         except ValueError:
             scalar_ok = False
         row = np.array([0.5, v, 0.25])
         if scalar_ok:
-            assert check_probabilities("eps", row, strict=strict) is None
+            assert check_probabilities("eps", row) is None
         else:
             with pytest.raises(ValueError,
-                               match=f"^{re.escape(f'eps must be in {interval}, got {v}')}$"):
-                check_probabilities("eps", row, strict=strict)
+                               match=f"^{re.escape(f'eps must be in (0, 1), got {v}')}$"):
+                check_probabilities("eps", row)
     for bad in ("0.5", None, 0.5 + 0j, True):
         with pytest.raises(ValueError, match="^eps must be a real number"):
-            check_probabilities("eps", bad, strict=strict)
+            check_probabilities("eps", bad)
 
 
 def _sum_block(rng, start, count):
