@@ -28,7 +28,6 @@ __all__ = [
     "PacketSpec",
     "awgn_params",
     "error_prob",
-    "snr_at_bandwidth",
     "asymptotic_bits",
     "packet_error",
     "success_probability",
@@ -48,12 +47,13 @@ _SCAN_TILE = _BRACKET_POINTS
 _MODES = ("joint", "separate")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinkBudget:
     """Reference operating point: SNR gamma0 at bandwidth b0_hz, latency latency_s.
 
     gamma0 may be an array of reference SNRs sharing b0_hz and latency_s;
-    the functions below then broadcast over it.
+    the functions below then broadcast over it.  Budgets compare and hash
+    by identity, so an array gamma0 breaks neither.
     """
 
     gamma0: float
@@ -67,23 +67,6 @@ class LinkBudget:
             bits = np.asarray(asymptotic_bits(self))
         if not np.isfinite(bits).all():
             raise ValueError("gamma0 * b0_hz * latency_s overflows: asymptotic_bits = inf")
-
-    def __eq__(self, other):
-        # value equality per field, also for an array gamma0
-        if not isinstance(other, LinkBudget):
-            return NotImplemented
-        return all(np.array_equal(getattr(self, f), getattr(other, f))
-                   for f in ("gamma0", "b0_hz", "latency_s"))
-
-    def __hash__(self):
-        # equal under np.array_equal means equal shape and equal values,
-        # and Python hashes equal numbers alike whatever their type
-        return hash(tuple((np.shape(v), tuple(np.ravel(v).tolist()))
-                          for v in (self.gamma0, self.b0_hz, self.latency_s)))
-
-    def channel_uses(self, b_hz):
-        """Real channel uses available at bandwidth b_hz within the latency."""
-        return 2.0 * np.asarray(b_hz, dtype=float) * self.latency_s
 
 
 @dataclass(frozen=True)
@@ -145,19 +128,7 @@ def error_prob(n, gamma, bits):
     with np.errstate(divide="ignore", invalid="ignore"):
         arg = np.where(nv > 0, num / np.sqrt(np.where(nv > 0, nv, 1.0)),
                        np.where(num > 0, np.inf, np.where(num < 0, -np.inf, 0.0)))
-    eps = q_function(arg)
-    if np.ndim(eps) == 0 and np.ndim(n) == 0 and np.ndim(bits) == 0:
-        return float(eps)
-    return eps
-
-
-def snr_at_bandwidth(budget: LinkBudget, b_hz):
-    """Per-use SNR when the reference power is spread over bandwidth b_hz."""
-    b = np.asarray(b_hz, dtype=float)
-    if np.any(b <= 0):
-        raise ValueError("bandwidth must be positive")
-    out = budget.gamma0 * budget.b0_hz / b
-    return float(out) if out.ndim == 0 else out
+    return q_function(arg)
 
 
 def asymptotic_bits(budget: LinkBudget) -> float:

@@ -31,6 +31,7 @@ running the same prefix automaton over the drawn bytes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -102,9 +103,6 @@ class OccurrenceDistribution:
     probs: dict = field(compare=False)
     tail_mass: float = 0.0
 
-    def total_mass(self) -> float:
-        return sum(self.probs.values()) + self.tail_mass
-
 
 def _prefix_automaton(bits: tuple) -> np.ndarray:
     """KMP-style transition table delta[state, bit] over states 0..m.
@@ -161,9 +159,6 @@ def occurrence_distribution(marker: Marker, payload_bits: int,
     payload_bits = check_count("payload_bits", payload_bits, 0)
     count_cap = check_count("count_cap", count_cap)
     m = len(marker)
-    if payload_bits == 0:
-        return OccurrenceDistribution(marker, 0, {0: 1.0}, 0.0)
-
     cap = min(count_cap, payload_bits)
     states = m + 1
     delta = _prefix_automaton(marker.bits)
@@ -347,7 +342,13 @@ def simulate_sync(marker: Marker, payload_bits: int, snr_db,
             return (np.count_nonzero(u * ties < 1.0),)
     else:
         msym = marker.symbols()
-        sigma = 10.0 ** (-float(snr_db) / 20.0)
+        try:
+            sigma = 10.0 ** (-float(snr_db) / 20.0)
+        except OverflowError:
+            sigma = math.inf
+        if not math.isfinite(sigma):
+            raise ValueError("snr_db must be None or give a finite noise level "
+                             f"10^(-snr_db/20), got {snr_db!r}")
 
         def block_fn(rng: np.random.Generator, start: int, count: int):
             packet = np.empty((count, m + n))

@@ -25,11 +25,10 @@ coefficients (dominant right singular vector, one-hot pick, or 1).  As
 H = S_rx diag(alpha) S_tx^H, the projection H @ span is linear in the path
 gains alpha: evaluate builds each span's map from alpha once per call, so a
 block's projection is one stacked product, and it never forms a channel
-matrix or a full precoder per realization.  The dominant singular pair
-comes from the top eigenpair of the smaller Gram matrix (g g^H or g^H g,
-min(N, d) square); a coherent method with its matched filter collects
-sigma_max^2, so evaluate needs only that eigenvalue and never forms their
-weights.
+matrix or a full precoder per realization.  A coherent method with its
+matched filter collects sigma_max^2 of g = H @ span, so evaluate takes
+only that eigenvalue, from the smaller Gram matrix (g g^H or g^H g), and
+never forms the weights: the top eigenvector of g^H g in build_precoder.
 
 evaluate computes no cross interference.  The other terminal's span lies
 in the orthogonal complement of the observed terminal's transmit support,
@@ -63,6 +62,7 @@ from .simcore import (
     MonteCarloConfig,
     SeededStream,
     check_count,
+    check_finite,
     check_nonnegative,
     check_positive,
     collect_monte_carlo,
@@ -140,18 +140,12 @@ class PathCluster:
             raise ValueError("departure, arrival, powers must have equal length")
         if len(pw) == 0:
             raise ValueError("need at least one path")
+        check_finite("departure_deg", self.departure_deg)
+        check_finite("arrival_deg", self.arrival_deg)
         check_positive("powers", self.powers)
         object.__setattr__(self, "departure_deg", dep)
         object.__setattr__(self, "arrival_deg", arr)
         object.__setattr__(self, "powers", pw)
-
-    @property
-    def n_paths(self) -> int:
-        return len(self.powers)
-
-    @property
-    def total_power(self) -> float:
-        return float(sum(self.powers))
 
 
 @dataclass(frozen=True)
@@ -218,7 +212,7 @@ class CovariancePair:
     tx_factor (M x P) and rx_factor (N x P) are the power-weighted steering
     matrices, R = A A^H; r_tx and r_rx are formed from them only when read.
     tx_eigvals are the numerically nonzero transmit eigenvalues, descending,
-    and tx_support (M x tx_rank) is the matching orthonormal basis, computed
+    and tx_support (M x rank) is the matching orthonormal basis, computed
     from tx_factor so the span stays exact even when the covariance
     eigenproblem is ill conditioned.  u_max is the dominant receive
     eigenvector.
@@ -237,14 +231,6 @@ class CovariancePair:
     @property
     def r_rx(self) -> np.ndarray:
         return self.rx_factor @ self.rx_factor.conj().T
-
-    @property
-    def tx_rank(self) -> int:
-        return self.tx_support.shape[1]
-
-    @property
-    def v_max(self) -> np.ndarray:
-        return self.tx_support[:, 0]
 
 
 def _eig_from_weighted(a: np.ndarray):
@@ -408,40 +394,22 @@ class _PrecoderContext:
         }
 
 
-def _top_singular(g: np.ndarray, side: Optional[str] = None):
-    """sigma_max^2 of g and, if side is 'left' or 'right', its unit
-    singular vector on that side, batched.
-
-    g has shape (count, N, d); returns (lam (count,), vector or None), the
-    vector of shape (count, N) on the left or (count, d) on the right.
-    Only the smaller Gram matrix is decomposed: g g^H when N <= d, else
-    g^H g.  The other side follows as g^H u / ||g^H u|| or g c / ||g c||.
-    Under a tie any unit vector of the tied singular subspace is returned.
-    """
+def _top_singular(g: np.ndarray) -> np.ndarray:
+    """sigma_max^2 of each g, (count, N, d) -> (count,), from the smaller
+    Gram matrix: g g^H when N <= d, else g^H g."""
     gh = g.conj().swapaxes(1, 2)
-    on_left = g.shape[1] <= g.shape[2]
-    a, b = (g, gh) if on_left else (gh, g)
-    gram = a @ b
+    gram = g @ gh if g.shape[1] <= g.shape[2] else gh @ g
     if gram.shape[1] == 1:
-        lam, vec = gram[:, 0, 0].real, np.ones((g.shape[0], 1))
-    elif side is None:
-        return np.linalg.eigvalsh(gram)[:, -1], None
-    else:
-        w, v = np.linalg.eigh(gram)
-        lam, vec = w[:, -1], v[:, :, -1]
-    if side is None:
-        return lam, None
-    if on_left == (side == "left"):
-        return lam, vec
-    x = (b @ vec[:, :, None])[:, :, 0]
-    return lam, x / np.linalg.norm(x, axis=1, keepdims=True)
+        return gram[:, 0, 0].real
+    return np.linalg.eigvalsh(gram)[:, -1]
 
 
 def _coefficients(method: str, ctx: _PrecoderContext, g: np.ndarray,
                   est_noise: Optional[np.ndarray]) -> np.ndarray:
     """Unit-norm weights (count, d) on the span from g = h @ span."""
     if method in _COHERENT:
-        return _top_singular(g, "right")[1]
+        # dominant right singular vector (under a tie, any of the tied space)
+        return np.linalg.eigh(g.conj().swapaxes(1, 2) @ g)[1][:, :, -1]
     if method == "strongest_sv_inst":
         c = np.einsum("i,kid->kd", ctx.u_max.conj(), g)
         if est_noise is not None:
@@ -582,7 +550,7 @@ def evaluate(
             g1 = _project(a1, maps[method], n_rx)
             if method in _COHERENT:
                 # the matched filter on the dominant pair collects sigma_max^2
-                sig = _top_singular(g1)[0]
+                sig = _top_singular(g1)
             else:
                 c1 = _coefficients(method, ctx, g1,
                                    est if method == "strongest_sv_inst" else None)

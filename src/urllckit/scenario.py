@@ -88,13 +88,11 @@ def apply_schema(raw: dict, schema: dict, source: str = "<scenario>") -> dict:
 # at all (int("x")) is reported by the converter's __name__, hence the
 # descriptive inner function names.
 
-def int_field(lo: Optional[int] = None, hi: Optional[int] = None):
+def int_field(lo: int):
     def int_in_range(s: str) -> int:
         v = int(s)
-        if lo is not None and v < lo:
+        if v < lo:
             raise ScenarioError(f"must be >= {lo}, got {v}")
-        if hi is not None and v > hi:
-            raise ScenarioError(f"must be <= {hi}, got {v}")
         return v
     return int_in_range
 

@@ -5,7 +5,8 @@ regularized lower incomplete gamma, bisection, and the union of independent
 failures, kept in the error domain so 1e-17 stays 1e-17), the input checks
 (a count is an integer, a probability a real in [0, 1] or, elementwise
 over arrays, in (0, 1), a positive or nonnegative parameter a finite real
-above or at 0, also elementwise), and a reproducible stream abstraction.
+above or at 0, a finite one any finite real, also elementwise), and a
+reproducible stream abstraction.
 MonteCarloConfig.stream is the one rule that keys a simulation's stream
 from its master seed.  Streams are keyed Philox generators: the
 (master_seed, substream_id) pair is the 128-bit key, so equal pairs give
@@ -36,6 +37,7 @@ __all__ = [
     "check_probabilities",
     "check_positive",
     "check_nonnegative",
+    "check_finite",
     "SeededStream",
     "MonteCarloConfig",
     "run_monte_carlo",
@@ -47,6 +49,9 @@ _MASK64 = (1 << 64) - 1
 # ndtr switches to exact 0.0 once the result drops below the subnormal
 # range it can reach internally; beyond this point go through the log tail.
 _Q_LOG_SWITCH = 12.0
+
+# bisect's cap on halving steps, 2^-200 of the initial bracket
+_BISECT_MAX_ITER = 200
 
 
 class NoBracketError(ValueError):
@@ -98,7 +103,7 @@ def union_error(*eps):
     return out
 
 
-def bisect(f: Callable, lo, hi, tol=1e-12, max_iter: int = 200):
+def bisect(f: Callable, lo, hi, tol=1e-12):
     """Root of f on [lo, hi] by bisection, to absolute interval width tol.
 
     Returns an exact zero if one is hit, else the end of the final bracket
@@ -118,7 +123,7 @@ def bisect(f: Callable, lo, hi, tol=1e-12, max_iter: int = 200):
     # elementwise step; Python floats skip even the np.ndim tests
     if not (isinstance(lo, float) and isinstance(hi, float) and isinstance(tol, float)):
         if np.ndim(lo) or np.ndim(hi) or np.ndim(tol):
-            return _bisect_array(f, lo, hi, tol, max_iter)
+            return _bisect_array(f, lo, hi, tol)
         lo, hi, tol = float(lo), float(hi), float(tol)
     if not lo < hi:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
@@ -130,7 +135,7 @@ def bisect(f: Callable, lo, hi, tol=1e-12, max_iter: int = 200):
         return hi
     if math.copysign(1.0, flo) == math.copysign(1.0, fhi):
         raise NoBracketError(f"no bracket: f({lo}) = {flo}, f({hi}) = {fhi}")
-    for _ in range(max_iter):
+    for _ in range(_BISECT_MAX_ITER):
         mid = 0.5 * (lo + hi)
         if hi - lo <= tol or mid == lo or mid == hi:
             break
@@ -144,7 +149,7 @@ def bisect(f: Callable, lo, hi, tol=1e-12, max_iter: int = 200):
     return lo if flo < 0.0 else hi
 
 
-def _bisect_array(f, lo, hi, tol, max_iter):
+def _bisect_array(f, lo, hi, tol):
     # bisect's elementwise form; each step mirrors one pass of its loop
     lo, hi, tol = (np.array(a, dtype=float)
                    for a in np.broadcast_arrays(lo, hi, tol))
@@ -160,7 +165,7 @@ def _bisect_array(f, lo, hi, tol, max_iter):
         i = np.unravel_index(np.argmax(unbracketed), lo.shape)
         raise NoBracketError(f"no bracket at index {i}: f({lo[i]}) = {flo[i]}, "
                              f"f({hi[i]}) = {fhi[i]}")
-    for _ in range(max_iter):
+    for _ in range(_BISECT_MAX_ITER):
         mid = 0.5 * (lo + hi)
         stop = ~done & ((hi - lo <= tol) | (mid == lo) | (mid == hi))
         out[stop] = np.where(flo < 0.0, lo, hi)[stop]
@@ -237,6 +242,11 @@ def check_nonnegative(name: str, value) -> None:
     """ValueError naming value unless it, or each element of it, is finite and >= 0."""
     _check_elements(name, value, ((lambda v: v >= 0, "nonnegative"),
                                   (np.isfinite, "finite")))
+
+
+def check_finite(name: str, value) -> None:
+    """ValueError naming value unless it, or each element of it, is finite."""
+    _check_elements(name, value, ((np.isfinite, "finite"),))
 
 
 def _check_seed(name: str, value) -> int:

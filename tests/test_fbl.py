@@ -16,7 +16,6 @@ from urllckit.fbl import (
     error_prob,
     min_bandwidth,
     packet_error,
-    snr_at_bandwidth,
     success_probability,
 )
 from urllckit.simcore import union_error
@@ -93,17 +92,6 @@ def test_error_prob_validation():
         error_prob(0, 1.0, 10)
     with pytest.raises(ValueError):
         error_prob(10, 1.0, -1)
-
-
-def test_link_budget_channel_uses_and_snr():
-    budget = LinkBudget(10.0, 1e5, 1e-3)
-    assert budget.channel_uses(1e5) == 200.0
-    assert snr_at_bandwidth(budget, 1e5) == 10.0
-    assert snr_at_bandwidth(budget, 2e5) == 5.0
-    out = snr_at_bandwidth(budget, np.array([1e5, 1e6]))
-    assert out[1] == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        snr_at_bandwidth(budget, 0.0)
 
 
 def test_link_budget_validation():
@@ -220,20 +208,14 @@ def test_separate_packet_error_equals_two_error_prob_calls(gamma0, n, pkt):
         assert type(got) is float
 
 
-def test_link_budget_value_equality_and_hash():
+def test_link_budget_array_gamma0_compares_and_hashes():
+    # budgets compare by identity: an array gamma0 makes == and hash
+    # neither raise nor compare arrays elementwise
     gammas = np.array([1.0, 10.0, 100.0])
     a = LinkBudget(gammas, 1e5, 1e-3)
     b = LinkBudget(gammas.copy(), 1e5, 1e-3)
-    assert a == b and hash(a) == hash(b)
-    assert a != LinkBudget(np.array([1.0, 10.0, 99.0]), 1e5, 1e-3)
-    assert a != LinkBudget(gammas, 2e5, 1e-3)
-    assert a != LinkBudget(gammas[:, None], 1e5, 1e-3)
-    assert a != LinkBudget(10.0, 1e5, 1e-3)
-    assert LinkBudget(10.0, 1e5, 1e-3) == LinkBudget(10, 100000, 1e-3)
-    assert hash(LinkBudget(10.0, 1e5, 1e-3)) == hash(LinkBudget(10, 100000, 1e-3))
-    assert LinkBudget(np.array(10.0), 1e5, 1e-3) == LinkBudget(10.0, 1e5, 1e-3)
-    assert a != "budget"
-    assert len({a, b, LinkBudget(10.0, 1e5, 1e-3)}) == 2
+    assert a == a and a != b and a != "budget"
+    assert len({a, b, a}) == 2
 
 
 @pytest.mark.parametrize("mode", ["joint", "separate"])

@@ -93,7 +93,7 @@ def test_distribution_matches_enumeration(bits, payload):
     for count, prob in expected.items():
         # dyadic rationals at these sizes, so equality is exact
         assert dist.probs[count] == prob
-    assert dist.total_mass() == pytest.approx(1.0, abs=1e-12)
+    assert sum(dist.probs.values()) + dist.tail_mass == pytest.approx(1.0, abs=1e-12)
 
 
 def test_equal_autocorrelation_gives_equal_law():

@@ -45,6 +45,11 @@ def _nonnegative(label, name, call, valid):
                         id=f"{label}-{name}")
 
 
+def _finite(label, name, call, valid):
+    return pytest.param(name, call, valid, (math.inf, -math.inf, math.nan, "1"),
+                        id=f"{label}-{name}")
+
+
 _ROWS = [
     _count("ar_epsilon", "n", lambda n: ratesel.ar_epsilon(n, 1e-3), 100),
     _count("ar_outage_sup", "n", lambda n: ratesel.ar_outage_sup(n, 1e-3), 100),
@@ -111,6 +116,13 @@ _ROWS = [
         mimo.random_cluster_spec(4, paths=3, arrival_spread_deg=v)), 90.0),
     _nonnegative("random_cluster_spec", "span_db", lambda v: mimo.random_cluster_spec(
         4, paths=3, span_db=v), 0.0),
+    _finite("PathCluster", "departure_deg", lambda v: mimo.PathCluster(
+        (0.0, v), (10.0, 12.0), (1.0, 0.5)), -5.0),
+    _finite("PathCluster", "arrival_deg", lambda v: mimo.PathCluster(
+        (0.0, 5.0), (v, 12.0), (1.0, 0.5)), -10.0),
+    # the noise level 10^(-snr_db/20) must be finite; +inf means none
+    pytest.param("snr_db", lambda v: framesync.simulate_sync(_MARKER, 12, v, _MC), math.inf,
+                 (math.nan, -math.inf, -1e4), id="simulate_sync-snr_db"),
 ]
 
 

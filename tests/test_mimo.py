@@ -47,8 +47,8 @@ def test_path_cluster_validation():
     with pytest.raises(ValueError):
         PathCluster((0.0,), (0.0,), (0.0,))
     c = PathCluster((0.0, 5.0), (1.0, 2.0), (0.7, 0.3))
-    assert c.n_paths == 2
-    assert c.total_power == pytest.approx(1.0)
+    assert len(c.powers) == 2
+    assert sum(c.powers) == pytest.approx(1.0)
 
 
 def test_channel_spec_validation():
@@ -82,8 +82,8 @@ def test_random_cluster_spec_geometry():
     assert spec.tx_antennas == 32
     assert spec.rx_antennas == 2
     for cl, dep_c, arr_c in zip(spec.clusters, (-10.0, 10.0), (0.0, 50.0)):
-        assert cl.n_paths == 6
-        assert cl.total_power == pytest.approx(1.0, rel=1e-12)
+        assert len(cl.powers) == 6
+        assert sum(cl.powers) == pytest.approx(1.0, rel=1e-12)
         assert all(abs(d - dep_c) <= 2.0 for d in cl.departure_deg)
         assert all(abs(a - arr_c) <= 45.0 for a in cl.arrival_deg)
         # exponential decay sorted strongest first
@@ -113,9 +113,9 @@ def test_covariance_trace_and_rank_one():
                 PathCluster((-20.0,), (0.0,), (1.0,))))
     cov = covariance(single, 0)
     assert np.trace(cov.r_tx).real == pytest.approx(2.0, abs=1e-10)
-    assert cov.tx_rank == 1
+    assert cov.tx_support.shape[1] == 1
     steer = ula_steering([12.0], 16)[:, 0]
-    assert abs(np.vdot(cov.v_max, steer)) == pytest.approx(1.0, abs=1e-10)
+    assert abs(np.vdot(cov.tx_support[:, 0], steer)) == pytest.approx(1.0, abs=1e-10)
     # single receive antenna: scalar covariance equal to the total power
     assert cov.r_rx.shape == (1, 1)
     assert cov.r_rx[0, 0].real == pytest.approx(2.0, abs=1e-12)
@@ -129,7 +129,7 @@ def test_covariance_orthogonal_paths():
         m, 1, (PathCluster((0.0, theta), (0.0, 0.0), (0.5, 0.5)),
                PathCluster((60.0,), (0.0,), (1.0,))))
     cov = covariance(spec, 0)
-    assert cov.tx_rank == 2
+    assert cov.tx_support.shape[1] == 2
     assert cov.tx_eigvals[:2] == pytest.approx([0.5, 0.5], abs=1e-12)
     with pytest.raises(ValueError):
         covariance(spec, 2)
@@ -153,11 +153,10 @@ def test_covariance_eigenstructure(name):
     spec = _COVARIANCE_SPECS[name]()
     for terminal in (0, 1):
         cov = covariance(spec, terminal)
-        rank = cov.tx_rank
         s = cov.tx_support
-        assert s.shape == (spec.tx_antennas, rank)
+        rank = s.shape[1]
+        assert s.shape[0] == spec.tx_antennas
         assert np.abs(s.conj().T @ s - np.eye(rank)).max() < 1e-12
-        assert np.array_equal(cov.v_max, s[:, 0])
         # the nonzero eigenvalues of r_tx, descending, to 1e-12 of the largest;
         # eigvalsh resolves small eigenvalues only to that absolute accuracy
         ev = np.linalg.eigvalsh(cov.r_tx)[::-1]
@@ -178,7 +177,7 @@ def test_draw_channels_statistics():
     h = draw_channels(spec, 0, 20_000, rng)
     assert h.shape == (20_000, 2, 24)
     power = np.mean(np.sum(np.abs(h) ** 2, axis=(1, 2)))
-    assert power == pytest.approx(spec.clusters[0].total_power, rel=0.05)
+    assert power == pytest.approx(sum(spec.clusters[0].powers), rel=0.05)
 
 
 def test_draw_channels_reproducible_and_rank():
@@ -542,16 +541,9 @@ def test_top_singular_degenerate(kind, shape):
     sv = [2.0, 2.0, 0.5][:r] if kind == "tie" else [3.0] + [0.0] * (r - 1)
     g = _with_singular_values(sv, shape, rng, 6)
     smax2 = sv[0] ** 2
-    lam, c = mimo._top_singular(g, "right")
+    c = mimo._coefficients("all_sv_coh", None, g, None)
     assert c.shape == (6, shape[1])
     np.testing.assert_allclose(np.linalg.norm(c, axis=1), 1.0, rtol=1e-12)
     gain = np.sum(np.abs(np.einsum("kid,kd->ki", g, c)) ** 2, axis=1)
     np.testing.assert_allclose(gain, smax2, rtol=1e-12)
-    np.testing.assert_allclose(lam, smax2, rtol=1e-12)
-    lam_u, u = mimo._top_singular(g, "left")
-    assert u.shape == (6, shape[0])
-    np.testing.assert_allclose(np.linalg.norm(u, axis=1), 1.0, rtol=1e-12)
-    gain_u = np.sum(np.abs(np.einsum("kid,ki->kd", g, u.conj())) ** 2, axis=1)
-    np.testing.assert_allclose(gain_u, smax2, rtol=1e-12)
-    np.testing.assert_allclose(mimo._top_singular(g)[0], smax2, rtol=1e-12)
-    assert mimo._top_singular(g)[1] is None
+    np.testing.assert_allclose(mimo._top_singular(g), smax2, rtol=1e-12)

@@ -16,6 +16,7 @@ from urllckit.simcore import (
     NoBracketError,
     SeededStream,
     bisect,
+    check_finite,
     check_nonnegative,
     check_positive,
     check_probabilities,
@@ -356,6 +357,24 @@ def test_check_nonnegative_elementwise(value, message):
     else:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             check_nonnegative("x", value)
+
+
+@pytest.mark.parametrize("value,message", [
+    (-1.7e308, None),
+    ([0, -2.5, 1e-300], None),
+    (np.array([[-0.0, 4.0]]), None),
+    (math.nan, "x must be finite, got nan"),
+    (-math.inf, "x must be finite, got -inf"),
+    ([0.0, math.inf, math.nan], "x must be finite, got inf"),
+    ("0", "x must be a real number, got '0'"),
+    (True, "x must be a real number, got True"),
+])
+def test_check_finite_elementwise(value, message):
+    if message is None:
+        assert check_finite("x", value) is None
+    else:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            check_finite("x", value)
 
 
 def test_check_probabilities_agrees_with_check_probability():
