@@ -9,7 +9,11 @@ resulting error calculus plus a minimum-bandwidth solver for a packet of
 data and metadata bits, encoded jointly or separately.  The solver works on
 the packet error itself (packet_error <= eps), never on 1 - eps, so targets
 far below 1e-16 are met as stated.  It has one path: an array of reference
-SNRs is solved as one batch, and a single SNR is a batch of one.
+SNRs is solved as one batch, and a single SNR is a batch of one.  Its
+bracket scan first bounds the packet error from below over blocks of the
+blocklength grid and skips the blocks whose bound rules out a hit, so it
+evaluates a few thousand points per solve, not tens of thousands; the
+bracket it finds equals that of a scan of every grid point.
 """
 
 from __future__ import annotations
@@ -40,10 +44,20 @@ LOG2E = math.log2(math.e)
 _CEILING_GUARD = 0.02
 
 _N_MAX = 2 ** 22
-_BRACKET_POINTS = 4096
-# (SNR, blocklength) elements per packet_error call of the bracket scan: a
-# single SNR scans the whole grid at once, many SNRs take narrower chunks
-_SCAN_TILE = _BRACKET_POINTS
+# geometric blocklength grid of the bracket scan, built once at import
+_GRID = np.geomspace(2.0, float(_N_MAX), 4096)
+# the grid's blocks of 64 columns, bounded before any column is scanned:
+# block k runs from column _EDGES[k] to column _EDGES[k + 1], so neighbours
+# share their edge column and the bounds need the 65 edge columns only
+_EDGES = np.append(np.arange(0, _GRID.size, 64), _GRID.size - 1)
+# relative margin by which a block's error floor must exceed eps_target
+# before the scan skips the block, so rounding in the floor skips no hit
+_MISS_MARGIN = 1e-9
+# (SNR, blocklength) elements per packet_error call of the bracket scan,
+# which skips each SNR's leading blocks whose floor rules out a hit: a
+# single SNR scans the rest of the grid at once, many SNRs take narrower
+# chunks
+_SCAN_TILE = _GRID.size
 _MODES = ("joint", "separate")
 
 
@@ -120,15 +134,23 @@ def error_prob(n, gamma, bits):
     bits = np.asarray(bits, dtype=float)
     if (bits < 0).any():
         raise ValueError("bits must be nonnegative")
+    return q_function(_normal_arg(*_normal_terms(n, gamma, bits)))
+
+
+def _normal_terms(n, gamma, bits):
+    # numerator n*C - bits + 0.5*log2(n) and variance n*V of error_prob's
+    # Q argument; both grow strictly with n when gamma falls as 1/n
     c, v = awgn_params(gamma)
     c = np.asarray(c, dtype=float)
     v = np.asarray(v, dtype=float)
-    num = n * c - bits + 0.5 * np.log2(n)
-    nv = n * v
+    return n * c - bits + 0.5 * np.log2(n), n * v
+
+
+def _normal_arg(num, nv):
+    # num / sqrt(nv), or the sign's hard threshold where nv is zero
     with np.errstate(divide="ignore", invalid="ignore"):
-        arg = np.where(nv > 0, num / np.sqrt(np.where(nv > 0, nv, 1.0)),
-                       np.where(num > 0, np.inf, np.where(num < 0, -np.inf, 0.0)))
-    return q_function(arg)
+        return np.where(nv > 0, num / np.sqrt(np.where(nv > 0, nv, 1.0)),
+                        np.where(num > 0, np.inf, np.where(num < 0, -np.inf, 0.0)))
 
 
 def asymptotic_bits(budget: LinkBudget) -> float:
@@ -180,8 +202,13 @@ def min_bandwidth(budget: LinkBudget, pkt: PacketSpec, eps_target: float,
     Returns math.inf when infeasible: past the analytic ceiling (with a 2%
     guard band) or when no blocklength up to 2^22 meets the target.  The
     bracket comes from a geometric scan over n, refined by bisection to
-    ~1e-6 relative; the result is the bracket's upper end, so the packet
-    error at the returned bandwidth itself is at most eps_target.  Errors
+    ~1e-6 relative.  The scan skips the 64-point blocks of its grid whose
+    lower bound on the packet error (_error_floor) exceeds eps_target, and
+    an SNR with no other block is infeasible without a scan; the skipped
+    points cannot meet the target, so the bracket, and the bandwidth,
+    equal those of a scan of every point.  The result is the bracket's
+    upper end, so the packet error at the returned bandwidth itself is at
+    most eps_target.  Errors
     are compared with eps_target directly, so targets below the
     double-precision spacing of 1 (1e-17, 1e-20) stay distinct.
 
@@ -203,16 +230,15 @@ def min_bandwidth(budget: LinkBudget, pkt: PacketSpec, eps_target: float,
         required, available = max(pkt.data_bits, pkt.metadata_bits), ceiling / 2.0
     below_ceiling = np.ravel(required < available * (1.0 + _CEILING_GUARD))
 
-    grid = np.geomspace(2.0, float(_N_MAX), _BRACKET_POINTS)
     rows = np.flatnonzero(below_ceiling)
     g = gamma0.ravel()[rows]
-    first = _first_hits(g, budget, pkt, eps_target, mode, grid)
+    first = _first_hits(g, budget, pkt, eps_target, mode)
 
     n_star = np.full(gamma0.size, math.inf)
-    n_star[rows[first == 0]] = grid[0]
+    n_star[rows[first == 0]] = _GRID[0]
     inner = first > 0
     if inner.any():
-        lo, hi, g_inner = grid[first[inner] - 1], grid[first[inner]], g[inner]
+        lo, hi, g_inner = _GRID[first[inner] - 1], _GRID[first[inner]], g[inner]
         n_star[rows[inner]] = bisect(
             lambda n: _packet_error(g_inner, budget, pkt, n, mode) - eps_target,
             lo, hi, tol=1e-6 * lo,
@@ -221,23 +247,52 @@ def min_bandwidth(budget: LinkBudget, pkt: PacketSpec, eps_target: float,
     return float(b_hz[0]) if gamma0.ndim == 0 else b_hz.reshape(gamma0.shape)
 
 
-def _first_hits(gamma0, budget, pkt, eps_target, mode, grid):
-    """Per reference SNR, the first grid index where packet_error <= eps_target.
+def _first_hits(gamma0, budget, pkt, eps_target, mode):
+    """Per reference SNR, the first _GRID index where packet_error <= eps_target.
 
-    -1 where no grid point meets the target.  The grid is scanned in column
-    chunks over the SNRs still without a hit, so the scan stops once every
-    SNR has its first hit.  A chunk holds at most _SCAN_TILE elements, or
-    one column when more SNRs than that are still searching.
+    -1 where no grid point meets the target.  Each SNR starts at its first
+    block whose _error_floor does not rule out a hit, and an SNR with no
+    such block is -1 without a scan; the skipped columns hold no hit, so
+    the result equals a scan of every column.  From there the grid is
+    scanned in column chunks over the SNRs still without a hit, so the
+    scan stops once every SNR has its first hit.  A chunk holds at most
+    _SCAN_TILE elements, or one column when more SNRs than that are still
+    searching.
     """
+    floor = _error_floor(gamma0[:, None], budget, pkt, _GRID[_EDGES], mode)
+    open_ = floor <= eps_target * (1.0 + _MISS_MARGIN)
+    searching = np.flatnonzero(open_.any(axis=1))
+    start = _EDGES[open_[searching].argmax(axis=1)]
     first = np.full(gamma0.size, -1)
-    searching = np.arange(gamma0.size)
-    start = 0
-    while searching.size and start < grid.size:
-        width = max(1, _SCAN_TILE // searching.size)
-        cols = grid[start:start + width]
-        hit = _packet_error(gamma0[searching, None], budget, pkt, cols, mode) <= eps_target
+    while searching.size:
+        width = min(max(1, _SCAN_TILE // searching.size), _GRID.size - start.min())
+        # a row at the grid's end repeats its last column; argmax keeps the first
+        cols = np.minimum(start[:, None] + np.arange(width), _GRID.size - 1)
+        hit = _packet_error(gamma0[searching, None], budget, pkt, _GRID[cols], mode) <= eps_target
         found = hit.any(axis=1)
-        first[searching[found]] = start + hit[found].argmax(axis=1)
+        first[searching[found]] = cols[found, hit[found].argmax(axis=1)]
+        start = start[~found] + width
         searching = searching[~found]
-        start += cols.size
+        more = start < _GRID.size
+        searching, start = searching[more], start[more]
     return first
+
+
+def _error_floor(gamma0, budget, pkt, n, mode):
+    """Lower bound on packet_error over each block [n[k], n[k + 1]] of blocklengths.
+
+    With gamma = gamma0*2*B0*T/n, error_prob's numerator and variance both
+    grow with n, so over a block its Q argument is at most
+    num(n[k + 1]) / sqrt(nV(n[k])) when num(n[k + 1]) > 0, and at most
+    num(n[k + 1]) / sqrt(nV(n[k + 1])) otherwise; the floor is Q of that.
+    Both sides count: for eps_target >= 1/2 a block with a negative
+    numerator can hold a hit.  Separate mode fails at least as often as
+    its larger payload over n/2 uses, so the floor takes that payload alone.
+    """
+    gamma = gamma0 * 2.0 * budget.b0_hz * budget.latency_s / n
+    if mode == "joint":
+        num, nv = _normal_terms(n, gamma, pkt.total_bits)
+    else:
+        num, nv = _normal_terms(n / 2.0, gamma, max(pkt.data_bits, pkt.metadata_bits))
+    num_hi = num[..., 1:]
+    return q_function(_normal_arg(num_hi, np.where(num_hi > 0, nv[..., :-1], nv[..., 1:])))

@@ -36,7 +36,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .simcore import MonteCarloConfig, SeededStream, check_count, run_monte_carlo
+from .simcore import (MonteCarloConfig, SeededStream, check_count, check_real,
+                      run_monte_carlo)
 
 __all__ = [
     "Marker",
@@ -316,10 +317,11 @@ def simulate_sync(marker: Marker, payload_bits: int, snr_db,
     (no samples outside the packet), argmax with uniform tie breaking.
     Each trial draws its payload as ceil(n/8) uniform uint8 bytes, first
     bit high, and ignores the bits past n.
-    snr_db = None means noiseless reception, where the estimate converges
-    to the p_ub bound exactly: offset 0 then correlates to m, which no
-    offset can exceed, and an offset ties it exactly when its window
-    reproduces the marker.  The ties are therefore 1 + C, and the
+    snr_db is None or a real number; a string or a bool is rejected by
+    name.  snr_db = None means noiseless reception, where the estimate
+    converges to the p_ub bound exactly: offset 0 then correlates to m,
+    which no offset can exceed, and an offset ties it exactly when its
+    window reproduces the marker.  The ties are therefore 1 + C, and the
     noiseless path counts C from the drawn bytes without unpacking them
     or building the packet and its correlations.
     """
@@ -343,7 +345,7 @@ def simulate_sync(marker: Marker, payload_bits: int, snr_db,
     else:
         msym = marker.symbols()
         try:
-            sigma = 10.0 ** (-float(snr_db) / 20.0)
+            sigma = 10.0 ** (-check_real("snr_db", snr_db) / 20.0)
         except OverflowError:
             sigma = math.inf
         if not math.isfinite(sigma):

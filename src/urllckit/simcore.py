@@ -38,6 +38,7 @@ __all__ = [
     "check_positive",
     "check_nonnegative",
     "check_finite",
+    "check_real",
     "SeededStream",
     "MonteCarloConfig",
     "run_monte_carlo",
@@ -247,6 +248,16 @@ def check_nonnegative(name: str, value) -> None:
 def check_finite(name: str, value) -> None:
     """ValueError naming value unless it, or each element of it, is finite."""
     _check_elements(name, value, ((np.isfinite, "finite"),))
+
+
+def check_real(name: str, value) -> float:
+    """value as a float; ValueError naming it unless a real number.
+
+    NaN and inf pass; strings, booleans, complex values and arrays fail.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return float(value)
 
 
 def _check_seed(name: str, value) -> int:

@@ -5,6 +5,11 @@ from __future__ import annotations
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
+
+# CI runs tier-1 with --hypothesis-profile=ci: more examples, and a fixed
+# search, so a CI failure reproduces locally with the same flag
+settings.register_profile("ci", derandomize=True, max_examples=500)
 
 
 @pytest.fixture

@@ -6,7 +6,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from urllckit import fbl
 from urllckit.fbl import (
     LOG2E,
     LinkBudget,
@@ -322,3 +325,82 @@ def test_min_bandwidth_validation():
         min_bandwidth(budget, PacketSpec(8), 0.0)
     with pytest.raises(ValueError):
         min_bandwidth(budget, PacketSpec(8), 1e-5, "neither")
+
+
+def test_min_bandwidth_pinned_at_eps_above_one_half():
+    # at eps >= 1/2 a hit can lie where the normal-approximation numerator
+    # is still negative; a bound that counted such blocks as misses would
+    # find no bracket here
+    budget = LinkBudget(10 ** -0.5, 1e5, 1e-3)
+    assert min_bandwidth(budget, PacketSpec(8, 8), 0.9, "joint") == 3322.4831284805077
+
+
+# the block edges of the bracket scan, where a rounding slip would show
+_EDGE_COLUMNS = sorted({int(e) + d for e in fbl._EDGES for d in (-1, 0, 1)} & set(range(4096)))
+
+
+@given(
+    g_db=st.lists(st.floats(-30.0, 70.0), min_size=1, max_size=8),
+    b0=st.floats(1e3, 1e7),
+    latency=st.floats(1e-5, 1e-1),
+    bits=st.tuples(st.integers(0, 4000), st.integers(0, 4000)).filter(any),
+    eps=st.one_of(st.floats(-30.0, math.log10(0.999)).map(lambda k: 10.0 ** k),
+                  st.floats(0.5, 0.999)),
+    tie=st.one_of(st.none(), st.sampled_from(_EDGE_COLUMNS), st.integers(0, 4095)),
+    mode=st.sampled_from(["joint", "separate"]),
+)
+def test_first_hits_equal_a_scan_of_every_column(g_db, b0, latency, bits, eps, tie, mode):
+    # the scan skips blocks whose bound rules out a hit; its first hits
+    # must be those of packet_error evaluated at every grid column
+    gamma0 = 10.0 ** (np.array(g_db) / 10.0)
+    pkt = PacketSpec(*bits)
+    errors = packet_error(LinkBudget(gamma0[:, None], b0, latency), pkt, fbl._GRID, mode)
+    if tie is not None and 0.0 < errors[0, tie] < 1.0:
+        # a target equal to one column's error, which that column meets
+        eps = float(errors[0, tie])
+    hit = errors <= eps
+    expected = np.where(hit.any(axis=1), hit.argmax(axis=1), -1)
+    got = fbl._first_hits(gamma0, LinkBudget(gamma0, b0, latency), pkt, eps, mode)
+    assert got.tolist() == expected.tolist()
+
+
+def test_first_hits_where_the_error_rises_again_with_blocklength():
+    # past n*C's saturation n*V still grows, so the Q argument can peak and
+    # fall again; a block's bound must then divide by the variance at its
+    # first column, or it rules out the hit at the peak
+    budget = LinkBudget(2.297, 3.862e5, 1.171e-3)
+    pkt = PacketSpec(54)
+    errors = packet_error(budget, pkt, fbl._GRID)
+    peak = int(errors.argmin())
+    after = fbl._EDGES[np.searchsorted(fbl._EDGES, peak, side="right")]
+    assert 0 < errors[peak] < errors[after]
+    got = fbl._first_hits(np.array([budget.gamma0]), budget, pkt, errors[peak], "joint")
+    assert got.tolist() == [peak]
+
+
+def test_bracket_scan_work_per_solve(monkeypatch):
+    # the 30 fbl solves of the calc-sweeps benchmark: the default 20-point
+    # 5-40 dB grid, three packets, five targets, both modes.  A scan of every
+    # column up to the first hit evaluates about 26,300 (SNR, blocklength)
+    # elements per solve; the bounded scan, bound included, about 5,900
+    elements = []
+
+    def counted(name):
+        inner = getattr(fbl, name)
+
+        def wrapper(gamma0, budget, pkt, n, mode):
+            elements.append(np.broadcast(gamma0, n).size)
+            return inner(gamma0, budget, pkt, n, mode)
+        monkeypatch.setattr(fbl, name, wrapper)
+
+    counted("_packet_error")
+    counted("_error_floor")
+    budget = LinkBudget(10.0 ** (np.linspace(5.0, 40.0, 20) / 10.0), 1e5, 1e-3)
+    solves = 0
+    for eps in (1e-5, 1e-7, 1e-9, 1e-12, 1e-17):
+        for data, meta in ((16, 16), (32, 8), (4, 4)):
+            for mode in ("joint", "separate"):
+                min_bandwidth(budget, PacketSpec.from_bytes(data, meta), eps, mode)
+                solves += 1
+    assert solves == 30
+    assert sum(elements) / solves < 8000

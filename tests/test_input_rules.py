@@ -120,9 +120,10 @@ _ROWS = [
         (0.0, v), (10.0, 12.0), (1.0, 0.5)), -5.0),
     _finite("PathCluster", "arrival_deg", lambda v: mimo.PathCluster(
         (0.0, 5.0), (v, 12.0), (1.0, 0.5)), -10.0),
-    # the noise level 10^(-snr_db/20) must be finite; +inf means none
+    # a real number whose noise level 10^(-snr_db/20) is finite; +inf means none
     pytest.param("snr_db", lambda v: framesync.simulate_sync(_MARKER, 12, v, _MC), math.inf,
-                 (math.nan, -math.inf, -1e4), id="simulate_sync-snr_db"),
+                 (math.nan, -math.inf, -1e4, "8", True, np.True_, 8j, [8.0], np.array(8.0)),
+                 id="simulate_sync-snr_db"),
 ]
 
 

@@ -21,6 +21,7 @@ from urllckit.simcore import (
     check_positive,
     check_probabilities,
     check_probability,
+    check_real,
     collect_monte_carlo,
     log_q_function,
     q_function,
@@ -375,6 +376,26 @@ def test_check_finite_elementwise(value, message):
     else:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             check_finite("x", value)
+
+
+@pytest.mark.parametrize("value,message", [
+    (8, None),
+    (np.float64(-2.5), None),
+    (math.inf, None),
+    (math.nan, None),
+    ("8", "x must be a real number, got '8'"),
+    (True, "x must be a real number, got True"),
+    (8j, "x must be a real number, got 8j"),
+    ([8.0], "x must be a real number, got [8.0]"),
+    (None, "x must be a real number, got None"),
+])
+def test_check_real_takes_one_real_number(value, message):
+    if message is None:
+        out = check_real("x", value)
+        assert type(out) is float and (out == value or math.isnan(value))
+    else:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            check_real("x", value)
 
 
 def test_check_probabilities_agrees_with_check_probability():
