@@ -23,12 +23,14 @@ degrees of freedom, and that is where the methods differ:
 Each precoder is a fixed span from the covariances times per-realization
 coefficients (dominant right singular vector, one-hot pick, or 1).  As
 H = S_rx diag(alpha) S_tx^H, the projection H @ span is linear in the path
-gains alpha: evaluate builds each span's map from alpha once per call, so a
-block's projection is one stacked product, and it never forms a channel
-matrix or a full precoder per realization.  A coherent method with its
-matched filter collects sigma_max^2 of g = H @ span, so evaluate takes
-only that eigenvalue, from the smaller Gram matrix (g g^H or g^H g), and
-never forms the weights: the top eigenvector of g^H g in build_precoder.
+gains alpha: evaluate builds each span's map from alpha once per call and
+sets the maps of all evaluated methods side by side, so one stacked
+product projects the drawn gains on every span at once, and it never
+forms a channel matrix or a full precoder per realization.  A coherent
+method with its matched filter collects sigma_max^2 of g = H @ span, so
+evaluate takes only that eigenvalue, from the smaller Gram matrix (g g^H
+or g^H g), and never forms the weights: the top eigenvector of g^H g in
+build_precoder.
 
 evaluate computes no cross interference.  The other terminal's span lies
 in the orthogonal complement of the observed terminal's transmit support,
@@ -43,6 +45,14 @@ for a thread pool.  So the calls are shaped to stay below OpenBLAS's
 threading sizes (a thin SVD, stacked per-row products, covariances formed
 only when read): a call large enough for the pool leaves its idle thread
 spinning for a tenth of a second, which doubled the CPU time of a run.
+A stacked product is a matrix-vector product per row, which OpenBLAS
+threads from 4096 matrix elements up, so a wider map goes in column
+pieces below that size.
+
+evaluate draws, per block, terminal 0's path gains, then terminal 1's in
+space multiplexing, then the estimation noise of strongest_sv_inst.  No
+SINR reads terminal 1's gains; they hold the noise's place in the stream,
+so they are drawn only where the noise follows them.
 
 Receivers: methods transmitting across all eigenvectors use a matched
 filter on the aggregate effective channel; the strongest-vector methods
@@ -114,6 +124,13 @@ _SCENARIO_TAG = 301
 _EVAL_TAG = 302
 
 _EVAL_BLOCK = 2048
+# complex elements of the projections a block holds at once: a block runs
+# in chunks of rows whose projections on every method's span fit in this
+# many, which changes no value, as every step is per row
+_PROJECT_ELEMENTS = 1 << 15
+# OpenBLAS runs a matrix-vector product on its thread pool from this many
+# matrix elements up (m * n >= 1024 * GEMM_MULTITHREAD_THRESHOLD)
+_GEMV_POOL = 4096
 
 
 def ula_steering(angles_deg, n_antennas: int) -> np.ndarray:
@@ -292,10 +309,17 @@ def _gain_map(paths, span: np.ndarray) -> np.ndarray:
 def _project(alpha: np.ndarray, gain_map: np.ndarray, n_rx: int) -> np.ndarray:
     """H_k @ span for every row alpha_k, (count, N, d).
 
-    A stacked product of rows, not one (count x P) GEMM: OpenBLAS runs
-    the GEMM on its thread pool, whose idle thread then spins.
+    A stacked product of rows, not one (count x P) GEMM, taken over column
+    pieces of the map with fewer than _GEMV_POOL elements each: OpenBLAS
+    runs the GEMM, and a row's product from that size up, on its thread
+    pool, whose idle thread then spins.
     """
-    return (alpha[:, None, :] @ gain_map).reshape(alpha.shape[0], n_rx, -1)
+    g = np.empty((alpha.shape[0], 1, gain_map.shape[1]), dtype=complex)
+    width = max(1, (_GEMV_POOL - 1) // gain_map.shape[0])
+    for lo in range(0, gain_map.shape[1], width):
+        np.matmul(alpha[:, None, :], gain_map[:, lo:lo + width],
+                  out=g[:, :, lo:lo + width])
+    return g.reshape(alpha.shape[0], n_rx, -1)
 
 
 def draw_channels(spec: ClusterChannelSpec, terminal: int, count: int,
@@ -494,8 +518,11 @@ def evaluate(
     interference either.  Uncoded BPSK over payload_bits gives the
     per-attempt PER, and slots multiply independent delivery opportunities
     (DEFAULT_ATTEMPTS_PER_SLOT: two per slot for methods that skip full
-    CSI training).  The blocks run on the calling thread, and no BLAS call
-    starts a thread pool.
+    CSI training).  Each block projects its path gains on every method's
+    span in one stacked product, in chunks of rows whose projections hold
+    _PROJECT_ELEMENTS values; terminal 1's gains are drawn only where the
+    estimation noise follows them in the stream.  The blocks run on the
+    calling thread, and no BLAS call starts a thread pool.
     """
     methods = tuple(methods)
     for m in methods:
@@ -527,7 +554,12 @@ def evaluate(
     paths = _steering_factors(spec, 0)
     gain_scale = np.sqrt(paths[2] / 2.0)
     other_scale = np.sqrt(np.asarray(spec.clusters[1].powers) / 2.0)
-    maps = {m: _gain_map(paths, ctx.spans[m]) for m in methods}
+    # every method's gain map side by side, C-contiguous: one stacked
+    # product projects a row on all spans; edges[col] bound its columns
+    maps = [_gain_map(paths, ctx.spans[m]) for m in methods]
+    gain_map = np.concatenate(maps, axis=1)
+    edges = np.cumsum([0] + [w.shape[1] for w in maps])
+    chunk = max(1, _PROJECT_ELEMENTS // gain_map.shape[1])
     n_rx = spec.rx_antennas
     noise_scale = np.full(ctx.spans["strongest_sv_inst"].shape[1],
                           estimation_noise_std / math.sqrt(2.0))
@@ -538,29 +570,37 @@ def evaluate(
     needs_inst_noise = estimation_noise_std > 0.0 and "strongest_sv_inst" in methods
 
     def block_fn(rng: np.random.Generator, start: int, count: int):
-        # the draw order below is the evaluation stream's layout: terminal
-        # 1's gains are drawn in space multiplexing, though no SINR reads
-        # them, so that the estimation noise keeps its place in the stream
+        # the draw order below is the evaluation stream's layout: in space
+        # multiplexing terminal 1's gains come between terminal 0's and the
+        # estimation noise.  No SINR reads them, so they are drawn only to
+        # keep the noise in its place; with nothing drawn after them,
+        # skipping them changes no value
         a1 = _complex_gaussian(rng, count, gain_scale)
-        if spatial:
-            _complex_gaussian(rng, count, other_scale)
-        est = _complex_gaussian(rng, count, noise_scale) if needs_inst_noise else None
+        est = None
+        if needs_inst_noise:
+            if spatial:
+                _complex_gaussian(rng, count, other_scale)
+            est = _complex_gaussian(rng, count, noise_scale)
         sinr = np.empty((count, n_methods))
-        for col, method in enumerate(methods):
-            g1 = _project(a1, maps[method], n_rx)
-            if method in _COHERENT:
-                # the matched filter on the dominant pair collects sigma_max^2
-                sig = _top_singular(g1)
-            else:
-                c1 = _coefficients(method, ctx, g1,
-                                   est if method == "strongest_sv_inst" else None)
-                heff = np.einsum("kid,kd->ki", g1, c1)
-                r = (heff / np.linalg.norm(heff, axis=1, keepdims=True)
-                     if method in _MATCHED_RX else ctx.u_max)
-                sig = np.abs(np.sum(r.conj() * heff, axis=1)) ** 2
-            # the zero-forcing cross term H_0 @ span_1 is zero by
-            # construction, so no SINR carries an interference term
-            sinr[:, col] = user_power * sig
+        for lo in range(0, count, chunk):
+            rows = slice(lo, lo + chunk)
+            g_all = _project(a1[rows], gain_map, 1)[:, 0]
+            est_rows = None if est is None else est[rows]
+            for col, method in enumerate(methods):
+                g1 = g_all[:, edges[col]:edges[col + 1]].reshape(
+                    g_all.shape[0], n_rx, -1)
+                if method in _COHERENT:
+                    # the matched filter on the dominant pair collects sigma_max^2
+                    sig = _top_singular(g1)
+                else:
+                    c1 = _coefficients(method, ctx, g1, est_rows)
+                    heff = np.einsum("kid,kd->ki", g1, c1)
+                    r = (heff / np.linalg.norm(heff, axis=1, keepdims=True)
+                         if method in _MATCHED_RX else ctx.u_max)
+                    sig = np.abs(np.sum(r.conj() * heff, axis=1)) ** 2
+                # the zero-forcing cross term H_0 @ span_1 is zero by
+                # construction, so no SINR carries an interference term
+                sinr[rows, col] = user_power * sig
         return (sinr,)
 
     (sinr_all,) = collect_monte_carlo(mc.trials, _EVAL_BLOCK, mc.stream(_EVAL_TAG, 0),

@@ -202,9 +202,10 @@ def check_probability(name: str, value, *, strict: bool = False) -> float:
     """value as a float; ValueError naming it unless a real in [0, 1].
 
     strict asks for the open interval (0, 1).  NaN fails either way, and so
-    does anything that is not a real number (a string, None, a complex).
+    does anything that is not a real number (a string, None, a complex, a
+    boolean: True is not the probability 1).
     """
-    if not isinstance(value, numbers.Real) or not (
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (
             0.0 < value < 1.0 if strict else 0.0 <= value <= 1.0):
         raise ValueError(f"{name} must be in {'(0, 1)' if strict else '[0, 1]'}, "
                          f"got {value}")

@@ -31,7 +31,9 @@ def _count(label, name, call, k):
 
 
 def _probability(label, name, call, valid, strict=False):
-    bad = (math.nan, -0.1, 1.5, math.inf, "0.5", None) + ((0.0, 1.0) if strict else ())
+    # a boolean is no probability, though True == 1 and False == 0
+    bad = (math.nan, -0.1, 1.5, math.inf, "0.5", None, True, False, np.True_,
+           np.False_) + ((0.0, 1.0) if strict else ())
     return pytest.param(name, call, valid, bad, id=f"{label}-{name}")
 
 

@@ -502,14 +502,105 @@ def test_evaluate_rejects_nested_support(nested, multiplexing):
         evaluate(spec, ZF_METHODS, 10.0, multiplexing, MonteCarloConfig(64, 1))
 
 
-@pytest.mark.parametrize("geometry", ["rx1", "rich4"])
-def test_evaluate_starts_no_blas_thread(geometry):
+def _reference_stream_sinr(spec, rho_db, space, std, seed, trials):
+    """evaluate's SINR rebuilt block by block from the stream's layout.
+
+    Each block draws terminal 0's path gains, then terminal 1's in space
+    multiplexing, then the estimation noise, every draw as a (count, 2, K)
+    standard normal of real and imaginary parts.  Each method is projected
+    through its own gain map, and the coherent methods take sigma_max^2
+    from an SVD.
+    """
+    cov0, cov1 = covariance(spec, 0), covariance(spec, 1)
+    ctx = mimo._PrecoderContext(cov0, cov1)
+    paths = mimo._steering_factors(spec, 0)
+    power = 10.0 ** (rho_db / 10.0) / (2.0 if space else 1.0)
+    stream = SeededStream(seed).derive(mimo._EVAL_TAG, 0)
+
+    def gaussian(rng, count, scale):
+        z = rng.standard_normal((count, 2, len(scale)))
+        return (z[:, 0] + 1j * z[:, 1]) * scale
+
+    blocks = []
+    for b, start in enumerate(range(0, trials, mimo._EVAL_BLOCK)):
+        count = min(mimo._EVAL_BLOCK, trials - start)
+        rng = stream.block_generator(b)
+        a1 = gaussian(rng, count, np.sqrt(paths[2] / 2.0))
+        if space:
+            gaussian(rng, count, np.sqrt(np.asarray(spec.clusters[1].powers) / 2.0))
+        d_inst = ctx.spans["strongest_sv_inst"].shape[1]
+        est = gaussian(rng, count, np.full(d_inst, std / math.sqrt(2.0)))
+        sinr = []
+        for method in METHODS:
+            g = mimo._project(a1, mimo._gain_map(paths, ctx.spans[method]),
+                              spec.rx_antennas)
+            if method in ("interference_free", "all_sv_coh"):
+                sig = np.linalg.svd(g, compute_uv=False)[:, 0] ** 2
+            else:
+                c = mimo._coefficients(method, ctx, g, est)
+                heff = np.einsum("kid,kd->ki", g, c)
+                sig = (np.sum(np.abs(heff) ** 2, axis=1) if method == "all_sv_ncoh"
+                       else np.abs(heff @ ctx.u_max.conj()) ** 2)
+            sinr.append(power * sig)
+        blocks.append(np.stack(sinr, axis=1))
+    return np.concatenate(blocks)
+
+
+@pytest.mark.parametrize("std", [0.0, 0.5])
+@pytest.mark.parametrize("multiplexing", ["space", "time"])
+@pytest.mark.parametrize("geometry", list(_EVAL_GEOMETRIES))
+def test_evaluate_follows_the_stream_layout(geometry, multiplexing, std):
+    # evaluate skips terminal 1's gains where nothing is drawn after them
+    # and projects all methods in one product; neither may move a draw.  A
+    # misplaced draw changes every SINR at O(1).  One product over all
+    # maps may round differently from a product per map in the last bits,
+    # as BLAS picks its kernel by a product's column count and layout, so
+    # the SINRs are compared to 1e-12.  The last block is partial.
+    spec = random_cluster_spec(seed=1, **_EVAL_GEOMETRIES[geometry])
+    seed, trials, rho_db = 4, mimo._EVAL_BLOCK + 700, 10.0
+    ev = evaluate(spec, METHODS, rho_db, multiplexing,
+                  MonteCarloConfig(trials, seed), estimation_noise_std=std)
+    ref = _reference_stream_sinr(spec, rho_db, multiplexing == "space", std,
+                                 seed, trials)
+    for col, method in enumerate(METHODS):
+        np.testing.assert_allclose(ev.results[method].sinr, ref[:, col],
+                                   rtol=1e-12, atol=0, err_msg=method)
+
+
+def test_project_in_pieces_below_the_blas_pool():
+    # a map of _GEMV_POOL elements or more is projected in column pieces;
+    # the pieces join into the product of the whole map
+    rng = np.random.default_rng(5)
+    p, n_rx, d = 20, 8, 62
+    assert p * n_rx * d >= 2 * mimo._GEMV_POOL
+    gain_map = rng.standard_normal((p, n_rx * d)) + 1j * rng.standard_normal((p, n_rx * d))
+    alpha = rng.standard_normal((50, p)) + 1j * rng.standard_normal((50, p))
+    g = mimo._project(alpha, gain_map, n_rx)
+    assert g.shape == (50, n_rx, d)
+    ref = np.einsum("kp,pj->kj", alpha, gain_map).reshape(50, n_rx, d)
+    np.testing.assert_allclose(g, ref, rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("geometry, std", [
+    pytest.param("rx1", 0.0, id="rx1"),
+    pytest.param("rich4", 0.0, id="rich4"),
+    # the widest maps: 20 paths on 8 antennas, so the methods' maps hold
+    # 20 x 496 elements together, more than two gemv pool sizes
+    pytest.param("rx8-paths20", 0.5, id="rx8-paths20"),
+])
+def test_evaluate_starts_no_blas_thread(geometry, std):
     # a BLAS call large enough for OpenBLAS's thread pool leaves the idle
     # pool thread spinning for about 0.13 s, so process CPU time keeps
     # running while the caller sleeps; evaluate's calls stay below that size
-    spec = random_cluster_spec(seed=1, **_EVAL_GEOMETRIES[geometry])
+    geometries = {**_EVAL_GEOMETRIES, "rx8-paths20": dict(rx_antennas=8, paths=20)}
+    spec = random_cluster_spec(seed=1, **geometries[geometry])
+    if geometry == "rx8-paths20":
+        ctx = mimo._PrecoderContext(covariance(spec, 0), covariance(spec, 1))
+        width = sum(spec.rx_antennas * ctx.spans[m].shape[1] for m in METHODS)
+        assert 20 * width >= 2 * mimo._GEMV_POOL
     time.sleep(0.2)   # let any spin left by earlier tests end
-    evaluate(spec, METHODS, 10.0, "space", MonteCarloConfig(4096, 1))
+    evaluate(spec, METHODS, 10.0, "space", MonteCarloConfig(4096, 1),
+             estimation_noise_std=std)
     cpu = time.process_time()
     time.sleep(0.05)
     assert time.process_time() - cpu < 0.01

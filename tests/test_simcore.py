@@ -297,7 +297,8 @@ def test_check_probability_accepts_the_closed_interval(value):
 
 @pytest.mark.parametrize("value", [-1e-300, -1.0, 1.0 + 2 ** -52, 2, math.nan,
                                    math.inf, -math.inf, np.float64(math.nan),
-                                   np.float64(1.5), "0.5", None, 0.5 + 0j, [0.5]])
+                                   np.float64(1.5), "0.5", None, 0.5 + 0j, [0.5],
+                                   True, False, np.True_, np.False_])
 @pytest.mark.parametrize("strict", [False, True])
 def test_check_probability_rejects_by_name(value, strict):
     interval = r"\(0, 1\)" if strict else r"\[0, 1\]"
