@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .simcore import (bisect, check_count, check_positive, check_probability,
-                      q_function, union_error)
+from .simcore import (bisect, check_count, check_nonnegative, check_positive,
+                      check_probability, q_function, union_error)
 
 __all__ = [
     "LOG2E",
@@ -111,14 +111,16 @@ def awgn_params(gamma):
     C(gamma) = 0.5*log2(1+gamma), V(gamma) = gamma*(gamma+2)/(2*(gamma+1)^2)
     in squared bits.  V grows from 0 toward log2(e)^2 / 2.
     """
-    g = np.asarray(gamma, dtype=float)
-    if (g < 0).any():
-        raise ValueError("SNR must be nonnegative")
-    c = 0.5 * np.log2(1.0 + g)
-    v = g * (g + 2.0) / (2.0 * (g + 1.0) ** 2) * LOG2E ** 2
+    check_nonnegative("gamma", gamma)
+    c, v = _awgn(np.asarray(gamma, dtype=float))
     if c.ndim == 0:
         return float(c), float(v)
     return c, v
+
+
+def _awgn(g):
+    # awgn_params of a float array, unchecked, for the solver's inner loops
+    return 0.5 * np.log2(1.0 + g), g * (g + 2.0) / (2.0 * (g + 1.0) ** 2) * LOG2E ** 2
 
 
 def error_prob(n, gamma, bits):
@@ -128,21 +130,17 @@ def error_prob(n, gamma, bits):
     The zero-dispersion limit (gamma -> 0) degenerates to a hard threshold
     on the numerator sign.
     """
-    n = np.asarray(n, dtype=float)
-    if (n <= 0).any():
-        raise ValueError("blocklength must be positive")
-    bits = np.asarray(bits, dtype=float)
-    if (bits < 0).any():
-        raise ValueError("bits must be nonnegative")
+    check_positive("n", n)
+    check_nonnegative("gamma", gamma)
+    check_nonnegative("bits", bits)
+    n, gamma, bits = (np.asarray(a, dtype=float) for a in (n, gamma, bits))
     return q_function(_normal_arg(*_normal_terms(n, gamma, bits)))
 
 
 def _normal_terms(n, gamma, bits):
     # numerator n*C - bits + 0.5*log2(n) and variance n*V of error_prob's
     # Q argument; both grow strictly with n when gamma falls as 1/n
-    c, v = awgn_params(gamma)
-    c = np.asarray(c, dtype=float)
-    v = np.asarray(v, dtype=float)
+    c, v = _awgn(gamma)
     return n * c - bits + 0.5 * np.log2(n), n * v
 
 
@@ -170,22 +168,23 @@ def packet_error(budget: LinkBudget, pkt: PacketSpec, n, mode: str = "joint"):
     """
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
+    check_positive("n", n)
     return _packet_error(budget.gamma0, budget, pkt, n, mode)
 
 
 def _packet_error(gamma0, budget: LinkBudget, pkt: PacketSpec, n, mode: str):
-    # packet_error at reference SNR(s) gamma0 in place of budget.gamma0: the
-    # batched solver passes subsets of a validated gamma0 without building
-    # (and re-validating) a LinkBudget for each
+    # packet_error at reference SNR(s) gamma0 in place of budget.gamma0,
+    # unchecked: the batched solver passes subsets of a validated gamma0
+    # and its own positive grid, and checks nothing per chunk
     n = np.asarray(n, dtype=float)
     gamma = gamma0 * 2.0 * budget.b0_hz * budget.latency_s / n
     if mode == "joint":
-        out = error_prob(n, gamma, pkt.total_bits)
+        out = q_function(_normal_arg(*_normal_terms(n, gamma, pkt.total_bits)))
     else:
-        # metadata and data stacked on a leading axis: one error_prob call,
-        # so awgn_params runs once per per-use SNR
+        # metadata and data stacked on a leading axis: one kernel call, so
+        # the capacity and dispersion are computed once per per-use SNR
         bits = np.reshape([pkt.metadata_bits, pkt.data_bits], (2,) + (1,) * gamma.ndim)
-        meta, data = error_prob(n / 2.0, gamma, bits)
+        meta, data = q_function(_normal_arg(*_normal_terms(n / 2.0, gamma, bits)))
         out = union_error(meta, data)
     return float(out) if np.ndim(out) == 0 else out
 

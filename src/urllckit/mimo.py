@@ -75,6 +75,7 @@ from .simcore import (
     check_finite,
     check_nonnegative,
     check_positive,
+    check_real,
     collect_monte_carlo,
     q_function,
     run_monte_carlo,
@@ -525,11 +526,14 @@ def evaluate(
     calling thread, and no BLAS call starts a thread pool.
     """
     methods = tuple(methods)
-    for m in methods:
+    for i, m in enumerate(methods):
         if m not in METHODS:
             raise ValueError(f"unknown method {m!r}")
+        if m in methods[:i]:
+            raise ValueError(f"methods must name each method once, got {m!r} twice")
     if multiplexing not in ("space", "time"):
         raise ValueError(f"multiplexing must be 'space' or 'time', got {multiplexing!r}")
+    rho_db = check_real("rho_db", rho_db)
     try:
         total_power = 10.0 ** (rho_db / 10.0)
     except OverflowError:
@@ -539,9 +543,7 @@ def evaluate(
                          f"got {rho_db!r}")
     payload_bits = check_count("payload_bits", payload_bits)
     slots = check_count("slots", slots)
-    if not (math.isfinite(estimation_noise_std) and estimation_noise_std >= 0.0):
-        raise ValueError("estimation_noise_std must be finite and >= 0, "
-                         f"got {estimation_noise_std}")
+    check_nonnegative("estimation_noise_std", estimation_noise_std)
 
     covs = (covariance(spec, 0), covariance(spec, 1))
     # terminal 1 enters no SINR, but the pairing still needs a zero-forcing

@@ -11,9 +11,11 @@ true target eps still holds:
   per-estimate confidence (pcr): with probability 1 - xi over the
   training randomness, the conditional outage stays below eps.
 
-Both corrections are scale free (no theta), so they can be computed
-offline.  The price of selection shows up in the throughput ratio: mean
-delivered rate normalized by the genie rate R_eps(theta) * (1 - eps).
+Both corrections are scale free (no theta) and in closed form: ar
+through log1p/expm1, pcr through the inverse of the upper regularized
+gamma, so neither rounds a small eps through 1 - eps or runs a solver.
+The price of selection shows up in the throughput ratio: mean delivered
+rate normalized by the genie rate R_eps(theta) * (1 - eps).
 """
 
 from __future__ import annotations
@@ -26,15 +28,17 @@ import numpy as np
 
 from .simcore import (
     MonteCarloConfig,
-    bisect,
     check_count,
     check_nonnegative,
     check_positive,
     check_probabilities,
     check_probability,
-    reg_lower_gamma,
+    reg_upper_gamma_inv,
     run_monte_carlo,
 )
+# not called here: bench/tracing.py patches ratesel.bisect and
+# ratesel.reg_lower_gamma by name, and fails if either is missing
+from .simcore import bisect, reg_lower_gamma  # noqa: F401
 
 __all__ = [
     "NoFeasibleBackoffError",
@@ -52,16 +56,14 @@ __all__ = [
 
 _THROUGHPUT_TAG = 201
 
-# lower bracket for the pcr bisection; below this the condition is
-# satisfied for any xi of practical interest
-_PCR_FLOOR = 1e-15
+_LN2 = math.log(2.0)
 
 # trials per Monte-Carlo block; a trial costs O(1) whatever n is
 _BLOCK_TRIALS = 2 ** 16
 
 
 class NoFeasibleBackoffError(ValueError):
-    """No back-off in (0, eps] meets the confidence constraint."""
+    """The largest back-off meeting the confidence constraint underflows to 0."""
 
 
 @dataclass(frozen=True)
@@ -80,7 +82,7 @@ def outage_probability(theta, rate):
     check_nonnegative("rate", rate)
     th = np.asarray(theta, dtype=float)
     r = np.asarray(rate, dtype=float)
-    out = -np.expm1(-(np.exp2(r) - 1.0) / th)
+    out = -np.expm1(-np.expm1(r * _LN2) / th)
     return float(out) if out.ndim == 0 else out
 
 
@@ -90,7 +92,7 @@ def outage_capacity(theta, eps):
     check_probabilities("eps", eps)
     th = np.asarray(theta, dtype=float)
     e = np.asarray(eps, dtype=float)
-    out = np.log2(1.0 - th * np.log1p(-e))
+    out = np.log1p(-th * np.log1p(-e)) / _LN2
     return float(out) if out.ndim == 0 else out
 
 
@@ -124,26 +126,20 @@ def ar_outage_sup(n: int, eps_n: float) -> float:
 def pcr_epsilon(n: int, eps: float, xi: float) -> float:
     """Largest back-off keeping P(conditional outage > eps) at most xi.
 
-    The violation probability 1 - P(n, n*ln(1-eps)/ln(1-eps_n)) is
-    increasing in eps_n and free of theta; solved by bisection on
-    (1e-15, eps].
+    The violation probability is the upper regularized gamma
+    Q(n, n*ln(1-eps)/ln(1-eps_n)), increasing in eps_n and free of theta,
+    so it equals xi where n*ln(1-eps)/ln(1-eps_n) is x with Q(n, x) = xi:
+    eps_n = -expm1(n*log1p(-eps)/x), capped at eps where the constraint
+    is vacuous.  Raises NoFeasibleBackoffError only if that underflows.
     """
     n = check_count("n", n)
     check_probability("eps", eps, strict=True)
     check_probability("xi", xi, strict=True)
-
-    log_target = math.log1p(-eps)
-
-    def violation(eps_n: float) -> float:
-        return 1.0 - float(reg_lower_gamma(n, n * log_target / math.log1p(-eps_n)))
-
-    if violation(eps) <= xi:
-        return eps  # constraint vacuous, no back-off needed
-    if violation(_PCR_FLOOR) > xi:
+    eps_n = -math.expm1(n * math.log1p(-eps) / float(reg_upper_gamma_inv(n, xi)))
+    if not eps_n > 0.0:  # 0, or NaN from a non-finite x
         raise NoFeasibleBackoffError(
-            f"no back-off above {_PCR_FLOOR} meets xi={xi} for n={n}, eps={eps}")
-    # the two checks above give violation - xi a sign change on the bracket
-    return bisect(lambda x: violation(x) - xi, _PCR_FLOOR, eps, tol=0.0)
+            f"back-off {eps_n} meeting xi={xi} for n={n}, eps={eps} is not positive")
+    return min(eps, eps_n)
 
 
 @dataclass(frozen=True)
@@ -203,7 +199,7 @@ def throughput_ratio(scenario: RayleighScenario, policy: BackoffPolicy, n: int,
     def block_fn(rng: np.random.Generator, start: int, count: int):
         theta_hat = rng.gamma(n, theta / n, size=count)
         y = rng.exponential(scale=theta, size=count)
-        rate = np.log2(1.0 - theta_hat * log_backoff)
+        rate = np.log1p(-theta_hat * log_backoff) / _LN2
         # rate fits iff the threshold power 2^rate - 1 is observed
         delivered = np.where(-theta_hat * log_backoff <= y, rate, 0.0)
         cond_outage = -np.expm1(theta_hat / theta * log_backoff)

@@ -1,12 +1,13 @@
 """Shared numerics and seeded Monte-Carlo plumbing.
 
-Everything downstream leans on four numeric primitives (Gaussian tail,
-regularized lower incomplete gamma, bisection, and the union of independent
-failures, kept in the error domain so 1e-17 stays 1e-17), the input checks
-(a count is an integer, a probability a real in [0, 1] or, elementwise
-over arrays, in (0, 1), a positive or nonnegative parameter a finite real
-above or at 0, a finite one any finite real, also elementwise), and a
-reproducible stream abstraction.
+Everything downstream leans on a few numeric primitives (Gaussian tail,
+regularized lower incomplete gamma and the inverse of its upper tail,
+bisection of an array of brackets in one elementwise loop, and the union
+of independent failures, kept in the error domain so 1e-17 stays 1e-17),
+the input checks (a count is an integer, a probability a real in [0, 1]
+or, elementwise over arrays, in (0, 1), a positive or nonnegative
+parameter a finite real above or at 0, a finite one any finite real, also
+elementwise), and a reproducible stream abstraction.
 MonteCarloConfig.stream is the one rule that keys a simulation's stream
 from its master seed.  Streams are keyed Philox generators: the
 (master_seed, substream_id) pair is the 128-bit key, so equal pairs give
@@ -16,7 +17,6 @@ streams.
 
 from __future__ import annotations
 
-import math
 import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -30,6 +30,7 @@ __all__ = [
     "q_function",
     "log_q_function",
     "reg_lower_gamma",
+    "reg_upper_gamma_inv",
     "union_error",
     "bisect",
     "check_count",
@@ -90,6 +91,15 @@ def reg_lower_gamma(n, x):
     return special.gammainc(n, x)
 
 
+def reg_upper_gamma_inv(n, q):
+    """x with Q(n, x) = 1 - P(n, x) = q, vectorized.
+
+    Inverts the upper tail directly, so q = 1e-6 or 1e-300 keeps its
+    digits instead of being rounded through 1 - q.
+    """
+    return special.gammainccinv(n, q)
+
+
 def union_error(*eps):
     """P(at least one of independent events occurs), given each one's probability.
 
@@ -105,53 +115,17 @@ def union_error(*eps):
 
 
 def bisect(f: Callable, lo, hi, tol=1e-12):
-    """Root of f on [lo, hi] by bisection, to absolute interval width tol.
+    """Roots of f on the brackets [lo, hi] by bisection, to interval width tol.
 
-    Returns an exact zero if one is hit, else the end of the final bracket
-    where f < 0, never its midpoint: a caller solving f(x) <= 0 gets a point
-    that meets its constraint.  Requires a sign change (or an exact zero)
-    on the interval; otherwise raises NoBracketError rather than guessing.
-
-    Scalar lo, hi and tol run a plain float loop and return a float.  Any
-    array among them broadcasts the brackets against each other and
-    bisects them all at once: f is then called with an array of that shape
-    and must act elementwise.  Each element walks exactly the midpoints
-    the scalar loop would, so the result equals, element by element, one
-    scalar call per bracket; NoBracketError is raised if any element lacks
-    a sign change.
+    lo, hi and tol broadcast against each other, and every bracket is
+    bisected at once: f is called with an array of that shape and must act
+    elementwise.  Each element is an exact zero if one is hit, else the end
+    of its final bracket where f < 0, never its midpoint: a caller solving
+    f(x) <= 0 gets a point that meets its constraint.  Every bracket needs
+    a sign change (or an exact zero); otherwise NoBracketError is raised
+    rather than guessing.  An element's result does not depend on the
+    other brackets, and a scalar bracket is a 0-d batch returned as a float.
     """
-    # 0-d inputs take the float loop below, whose steps cost ~1/10 of an
-    # elementwise step; Python floats skip even the np.ndim tests
-    if not (isinstance(lo, float) and isinstance(hi, float) and isinstance(tol, float)):
-        if np.ndim(lo) or np.ndim(hi) or np.ndim(tol):
-            return _bisect_array(f, lo, hi, tol)
-        lo, hi, tol = float(lo), float(hi), float(tol)
-    if not lo < hi:
-        raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
-    flo = f(lo)
-    fhi = f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if math.copysign(1.0, flo) == math.copysign(1.0, fhi):
-        raise NoBracketError(f"no bracket: f({lo}) = {flo}, f({hi}) = {fhi}")
-    for _ in range(_BISECT_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= tol or mid == lo or mid == hi:
-            break
-        fmid = f(mid)
-        if fmid == 0.0:
-            return mid
-        if math.copysign(1.0, fmid) == math.copysign(1.0, flo):
-            lo, flo = mid, fmid
-        else:
-            hi = mid
-    return lo if flo < 0.0 else hi
-
-
-def _bisect_array(f, lo, hi, tol):
-    # bisect's elementwise form; each step mirrors one pass of its loop
     lo, hi, tol = (np.array(a, dtype=float)
                    for a in np.broadcast_arrays(lo, hi, tol))
     if not (lo < hi).all():
@@ -172,7 +146,7 @@ def _bisect_array(f, lo, hi, tol):
         out[stop] = np.where(flo < 0.0, lo, hi)[stop]
         done |= stop
         if done.all():
-            return out
+            break
         # finished elements are evaluated too (f sees the whole shape); their
         # brackets stay put below, so the values are discarded
         fmid = np.asarray(f(mid), dtype=float)
@@ -184,7 +158,8 @@ def _bisect_array(f, lo, hi, tol):
         lo = np.where(to_lo, mid, lo)
         flo = np.where(to_lo, fmid, flo)
         hi = np.where(to_hi, mid, hi)
-    return np.where(done, out, np.where(flo < 0.0, lo, hi))
+    out = np.where(done, out, np.where(flo < 0.0, lo, hi))
+    return float(out) if out.ndim == 0 else out
 
 
 def check_count(name: str, value, minimum: int = 1) -> int:

@@ -260,6 +260,17 @@ def test_ratesel_sweep_small(tmp_path, csv_body):
         assert 0.0 < float(r[4]) < 1.2
 
 
+def test_ratesel_sweep_backs_off_below_1e_15(tmp_path, csv_body):
+    # the pcr back-off at eps = 1e-17 is about 1e-18: a closed form, so no
+    # bracket floor makes the sweep infeasible
+    out = tmp_path / "rs.csv"
+    assert run(["ratesel", "sweep", "--out", str(out), "--eps", "1e-17",
+                "--trials", "2000", "--n-values", "1,10"]) == EXIT_OK
+    rows = rows_of(csv_body(out))
+    assert [r[0] for r in rows] == ["ar", "ar", "pcr", "pcr"]
+    assert all(0.0 < float(r[4]) < 1.2 for r in rows)
+
+
 def test_ratesel_sweep_worker_invariant_body(tmp_path, csv_body):
     args = ["--trials", "8000", "--n-values", "1,3", "--constraints", "ar"]
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -333,6 +344,16 @@ def test_mimo_nan_scenario_value_writes_nothing(tmp_path, capsys):
                     "--trials", "100"]) == EXIT_USAGE
         assert not out.exists()
         assert key in capsys.readouterr().err
+
+
+def test_mimo_repeated_method_writes_nothing(tmp_path, capsys):
+    scn = tmp_path / "scn.txt"
+    scn.write_text("methods = all_sv_coh, strongest_sv_av, all_sv_coh\n")
+    out = tmp_path / "m.csv"
+    assert run(["mimo", "--scenario", str(scn), "--out", str(out),
+                "--trials", "100"]) == EXIT_USAGE
+    assert not out.exists() and not (tmp_path / "m_sinr.csv").exists()
+    assert "'all_sv_coh' twice" in capsys.readouterr().err
 
 
 def test_mimo_worker_invariant_body(tmp_path, csv_body):

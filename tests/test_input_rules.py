@@ -19,6 +19,7 @@ _CHAIN = multiconn.ReliabilityChain(
 _BUDGET = fbl.LinkBudget(100.0, 1e5, 1e-3)
 _PACKET = fbl.PacketSpec(128, 0)
 _MC = MonteCarloConfig(1000, 0)
+_SPEC = mimo.random_cluster_spec(seed=1)
 
 
 def _draw_block(rng, start, count):
@@ -122,6 +123,25 @@ _ROWS = [
         (0.0, v), (10.0, 12.0), (1.0, 0.5)), -5.0),
     _finite("PathCluster", "arrival_deg", lambda v: mimo.PathCluster(
         (0.0, 5.0), (v, 12.0), (1.0, 0.5)), -10.0),
+    # NaN and inf blocklengths, SNRs and payloads used to read 0.5 or 0.0
+    _positive("error_prob", "n", lambda v: fbl.error_prob(v, 1.0, 10), 10.0),
+    _nonnegative("error_prob", "gamma", lambda v: fbl.error_prob(10, v, 10), 1.0),
+    _nonnegative("error_prob", "bits", lambda v: fbl.error_prob(10, 1.0, v), 10.0),
+    _nonnegative("awgn_params", "gamma", fbl.awgn_params, 1.0),
+    _positive("packet_error", "n", lambda v: fbl.packet_error(_BUDGET, _PACKET, v), 300.0),
+    _positive("packet_error-separate", "n", lambda v: fbl.packet_error(
+        _BUDGET, _PACKET, [300.0, v], "separate"), 300.0),
+    _positive("success_probability", "n", lambda v: fbl.success_probability(
+        _BUDGET, _PACKET, v), 300.0),
+    # True is neither 1 dB nor a noise level of 1.0
+    pytest.param("rho_db", lambda v: mimo.evaluate(
+        _SPEC, ("all_sv_coh",), v, "space", MonteCarloConfig(10, 0)), 0.0,
+        (math.nan, math.inf, -math.inf, 4000.0, "5", None, True, np.True_),
+        id="evaluate-rho_db"),
+    pytest.param("estimation_noise_std", lambda v: mimo.evaluate(
+        _SPEC, ("strongest_sv_inst",), 0.0, "space", MonteCarloConfig(10, 0),
+        estimation_noise_std=v), 0.5,
+        (math.nan, math.inf, -1.0, "1", True, np.True_), id="evaluate-estimation_noise_std"),
     # a real number whose noise level 10^(-snr_db/20) is finite; +inf means none
     pytest.param("snr_db", lambda v: framesync.simulate_sync(_MARKER, 12, v, _MC), math.inf,
                  (math.nan, -math.inf, -1e4, "8", True, np.True_, 8j, [8.0], np.array(8.0)),

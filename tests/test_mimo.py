@@ -383,6 +383,14 @@ def test_evaluate_validation():
                      estimation_noise_std=std)
 
 
+def test_evaluate_rejects_a_repeated_method():
+    # a method named twice would print each of its rows twice
+    spec = random_cluster_spec(seed=1)
+    with pytest.raises(ValueError, match="'all_sv_ncoh' twice"):
+        evaluate(spec, ("all_sv_ncoh", "all_sv_coh", "all_sv_ncoh"), 0.0, "space",
+                 MonteCarloConfig(10, 0))
+
+
 def _reference_weights(method, ctx, h, est):
     """Unit-norm weights per realization, (count, M), from full channels:
     coherent methods take the dominant right singular vector of h @ span

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate, stats
@@ -11,6 +12,7 @@ from scipy.special import gammainc, gammaincc
 
 from urllckit.ratesel import (
     BackoffPolicy,
+    NoFeasibleBackoffError,
     RayleighScenario,
     ar_epsilon,
     ar_outage_sup,
@@ -60,6 +62,16 @@ def test_outage_capacity_reference_and_roundtrip():
                 pytest.approx(e, rel=1e-10, abs=0)
     with pytest.raises(ValueError):
         outage_capacity(10.0, 1.0)
+
+
+def test_outage_capacity_roundtrip_below_double_spacing():
+    # log2(1 + x) rounds 1 + 1e-16 to 1, a rate of 0; log1p keeps it
+    assert outage_capacity(10.0, 1e-17) == pytest.approx(1e-16 / math.log(2.0),
+                                                         rel=1e-12, abs=0)
+    for th in (0.5, 10.0, 1e3):
+        for e in (1e-17, 1e-12):
+            assert outage_probability(th, outage_capacity(th, e)) == \
+                pytest.approx(e, rel=1e-12, abs=0)
 
 
 def test_ml_estimate_is_sample_mean():
@@ -129,6 +141,47 @@ def test_pcr_epsilon_solves_violation_equation():
         en = pcr_epsilon(n, eps, xi)
         violation = 1.0 - gammainc(n, n * math.log1p(-eps) / math.log1p(-en))
         assert violation == pytest.approx(xi, abs=1e-9)
+
+
+def _pcr_violation(n, eps, eps_n):
+    """P(conditional outage > eps) at back-off eps_n, as Q(n, x) in mpmath."""
+    with mpmath.workdps(40):
+        x = n * mpmath.log1p(-mpmath.mpf(eps)) / mpmath.log1p(-mpmath.mpf(eps_n))
+        return mpmath.gammainc(n, x, mpmath.inf, regularized=True)
+
+
+# the benchmark's grid, and targets below the double spacing of 1
+_PCR_EPS = tuple(10.0 ** -k for k in range(1, 10)) + (1e-12, 1e-14, 1e-16, 1e-17)
+
+
+@pytest.mark.parametrize("n", [1, 10, 100, 1000, 10000])
+def test_pcr_epsilon_meets_xi_and_is_maximal_against_mpmath(n):
+    for eps in _PCR_EPS:
+        for xi in (1e-1, 1e-3, 1e-6):
+            en = pcr_epsilon(n, eps, xi)
+            violation = _pcr_violation(n, eps, en)
+            if en == eps:
+                assert violation <= xi, (eps, xi)
+                continue
+            assert abs(violation / xi - 1) <= 1e-12, (eps, xi)
+            assert _pcr_violation(n, eps, en * (1 + 1e-9)) > xi, (eps, xi)
+
+
+@pytest.mark.parametrize("n,eps,xi,expected", [
+    # mpmath at 40 digits; a bisection floored at 1e-15 found none of these
+    (1, 1e-14, 1e-6, 7.2382413650542307e-16),
+    (1, 1e-16, 1e-3, 1.4476482730108395e-17),
+    (10, 1e-17, 1e-6, 3.0571372360500798e-18),
+])
+def test_pcr_epsilon_backs_off_below_1e_15(n, eps, xi, expected):
+    assert pcr_epsilon(n, eps, xi) == pytest.approx(expected, rel=1e-15, abs=0)
+
+
+def test_pcr_epsilon_raises_only_on_underflow():
+    # the smallest subnormal eps has a back-off below every double
+    with pytest.raises(NoFeasibleBackoffError, match="not positive"):
+        pcr_epsilon(1, 5e-324, 1e-6)
+    assert pcr_epsilon(1, 1e-300, 1e-300) > 0.0
 
 
 def test_pcr_epsilon_validation():

@@ -6,12 +6,14 @@ import math
 import re
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from urllckit.simcore import (
+    _BISECT_MAX_ITER,
     MonteCarloConfig,
     NoBracketError,
     SeededStream,
@@ -26,6 +28,7 @@ from urllckit.simcore import (
     log_q_function,
     q_function,
     reg_lower_gamma,
+    reg_upper_gamma_inv,
     run_monte_carlo,
     union_error,
 )
@@ -107,6 +110,18 @@ def test_reg_lower_gamma_reference(n, x, expected):
     assert reg_lower_gamma(n, x) == pytest.approx(expected, rel=1e-12)
 
 
+@pytest.mark.parametrize("n", [1, 10, 10000])
+@pytest.mark.parametrize("q", [0.5, 1e-6, 1e-300])
+def test_reg_upper_gamma_inv_keeps_the_tail_digits(n, q):
+    # Q(n, x) in mpmath at 40 digits: the upper tail itself, where 1 - P
+    # would read 1 for q = 1e-300.  Q falls steeply in x at n = 1e4: one
+    # ulp of x moves it by 5e-13 relative, and x is off by ~17 ulp there
+    x = reg_upper_gamma_inv(n, q)
+    with mpmath.workdps(40):
+        got = mpmath.gammainc(n, x, mpmath.inf, regularized=True)
+    assert float(got) == pytest.approx(q, rel=1e-10, abs=0)
+
+
 @given(st.lists(st.floats(min_value=1e-18, max_value=1e-6), min_size=1, max_size=8))
 def test_union_error_matches_exact_fractions(eps):
     miss = Fraction(1)
@@ -125,6 +140,37 @@ def test_union_error_edges_and_arrays():
     a = np.array([1e-17, 0.5, 1.0])
     assert np.array_equal(union_error(a, 0.0), a)
     assert union_error(a, a) == pytest.approx([2e-17, 0.75, 1.0], rel=1e-15, abs=0)
+
+
+def _scalar_bisect(f, lo, hi, tol=1e-12):
+    """The reference for bisect: one bracket, bisected in a plain float loop.
+
+    bisect takes every bracket in one elementwise loop, and each element
+    must walk exactly the midpoints this loop walks for that bracket alone.
+    """
+    lo, hi, tol = float(lo), float(hi), float(tol)
+    if not lo < hi:
+        raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
+    flo = f(lo)
+    fhi = f(hi)
+    if flo == 0.0:
+        return lo
+    if fhi == 0.0:
+        return hi
+    if math.copysign(1.0, flo) == math.copysign(1.0, fhi):
+        raise NoBracketError(f"no bracket: f({lo}) = {flo}, f({hi}) = {fhi}")
+    for _ in range(_BISECT_MAX_ITER):
+        mid = 0.5 * (lo + hi)
+        if hi - lo <= tol or mid == lo or mid == hi:
+            break
+        fmid = f(mid)
+        if fmid == 0.0:
+            return mid
+        if math.copysign(1.0, fmid) == math.copysign(1.0, flo):
+            lo, flo = mid, fmid
+        else:
+            hi = mid
+    return lo if flo < 0.0 else hi
 
 
 def _bisect_as(form, f, lo, hi, **kw):
@@ -192,8 +238,9 @@ def test_bisect_array_equals_the_scalar_loop_per_element(sign):
     tol = np.array([1e-12, 1e-3, 0.0, 1.0, 1e-6, 1e-9, 0.25])
     got = bisect(lambda x: sign * (x * x - c), lo, hi, tol=tol)
     for i in range(c.size):
-        want = bisect(lambda x: sign * (x * x - c[i]), lo[i], hi[i], tol=tol[i])
+        want = _scalar_bisect(lambda x: sign * (x * x - c[i]), lo[i], hi[i], tol=tol[i])
         assert got[i] == want, i
+        assert bisect(lambda x: sign * (x * x - c[i]), lo[i], hi[i], tol=tol[i]) == want, i
 
 
 def test_bisect_array_exact_zeros_per_element():
@@ -203,7 +250,7 @@ def test_bisect_array_exact_zeros_per_element():
     roots = np.array([1.0, 1.0, 0.0, math.sqrt(2.0)])
     got = bisect(lambda x: x - roots, lo, hi, tol=1e-12)
     assert got.tolist()[:3] == [1.0, 1.0, 0.0]
-    assert got[3] == bisect(lambda x: x - roots[3], 1.0, 2.0, tol=1e-12)
+    assert got[3] == _scalar_bisect(lambda x: x - roots[3], 1.0, 2.0, tol=1e-12)
 
 
 def test_bisect_array_one_unbracketed_element_raises():
@@ -218,7 +265,7 @@ def test_bisect_broadcasts_scalar_ends_against_an_array():
     got = bisect(lambda x: x * x - c, 1.0, 2.0, tol=tol)
     assert got.shape == (3,)
     for i in range(3):
-        assert got[i] == bisect(lambda x: x * x - c[i], 1.0, 2.0, tol=tol[i])
+        assert got[i] == _scalar_bisect(lambda x: x * x - c[i], 1.0, 2.0, tol=tol[i])
 
 
 def test_seeded_stream_reproducible():
