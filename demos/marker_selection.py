@@ -10,8 +10,7 @@ Usage:
 
 from __future__ import annotations
 
-from urllckit.framesync import (occurrence_distribution, p_ub, p_ub_list,
-                                search_marker, simulate_sync)
+from urllckit.framesync import p_ub, p_ub_list, search_marker, simulate_sync
 from urllckit.simcore import MonteCarloConfig
 
 PAYLOAD_BITS = 64
@@ -26,8 +25,8 @@ def main() -> None:
     print(f"{'N_m':>4}  {'marker':<20}  {header:<27}  {'simulated':>9}")
     last = None
     for nm in LENGTHS:
-        marker = search_marker(nm, PAYLOAD_BITS, budget=200, seed=0)
-        dist = occurrence_distribution(marker, PAYLOAD_BITS)
+        dist = search_marker(nm, PAYLOAD_BITS, budget=200, seed=0, distribution=True)
+        marker = dist.marker
         last = dist
         bounds = "  ".join(f"{p_ub_list(dist, l):.5f}" for l in LIST_LENGTHS)
         est = simulate_sync(marker, PAYLOAD_BITS, None,

@@ -164,12 +164,10 @@ def _cmd_framesync_sweep(args, argv) -> int:
     rows = []
     marker_notes = []
     for nm in range(args.nm_min, args.nm_max + 1):
-        marker = framesync.search_marker(
+        dist = framesync.search_marker(
             nm, args.payload_bits, budget=args.budget, seed=args.seed,
-            count_cap=args.count_cap)
-        dist = framesync.occurrence_distribution(
-            marker, args.payload_bits, count_cap=args.count_cap)
-        marker_notes.append(f"N_m = {nm}: marker {marker.as_string()}")
+            count_cap=args.count_cap, distribution=True)
+        marker_notes.append(f"N_m = {nm}: marker {dist.marker.as_string()}")
         for l in args.list_lengths:
             rows.append([nm, l, framesync.p_ub_list(dist, l)])
     comments = [

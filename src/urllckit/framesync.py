@@ -227,13 +227,16 @@ def _flip(marker: Marker, pos: int) -> Marker:
 
 
 def search_marker(n_bits: int, payload_bits: int, budget: int = 2048,
-                  seed: int = 0, count_cap: int = 32) -> Marker:
+                  seed: int = 0, count_cap: int = 32, *,
+                  distribution: bool = False):
     """Best marker of length n_bits by the p_ub criterion.
 
     Exhaustive when the budget covers all 2^n_bits words (and n_bits is
     small enough for that to be sane); otherwise seeded hill climbing on
     single-bit flips with random restarts.  The alternating word is always
-    evaluated first, so the result is never worse than it.
+    evaluated first, so the result is never worse than it.  With
+    distribution=True the result is the winner's OccurrenceDistribution
+    (its marker is the winner), the law the search scored it by.
     """
     n_bits = check_count("n_bits", n_bits)
     budget = check_count("budget", budget)
@@ -241,40 +244,46 @@ def search_marker(n_bits: int, payload_bits: int, budget: int = 2048,
     # a word's law depends only on its autocorrelation, so score each class
     # once per search: the climb revisits classes, and words of one class
     # tie exactly
-    scores = {}
+    laws = {}
 
-    def score(marker: Marker) -> float:
+    def scored(marker: Marker):
+        """(p_ub, law) of marker's autocorrelation class."""
         b = marker.bits
         key = tuple(b[j:] == b[:n_bits - j] for j in range(1, n_bits))
-        v = scores.get(key)
-        if v is None:
-            v = scores[key] = p_ub(
-                occurrence_distribution(marker, payload_bits, count_cap))
-        return v
+        entry = laws.get(key)
+        if entry is None:
+            dist = occurrence_distribution(marker, payload_bits, count_cap)
+            entry = laws[key] = (p_ub(dist), dist)
+        return entry
+
+    def score(marker: Marker) -> float:
+        return scored(marker)[0]
 
     if n_bits <= 16 and 2 ** n_bits <= budget:
         words = (_marker_from_int(value, n_bits) for value in range(2 ** n_bits))
-        return max(words, key=score)  # the first of equal scores wins
-
-    rng = SeededStream(seed).derive(_SEARCH_TAG, n_bits, payload_bits).generator()
-    current = best = Marker.alternating(n_bits)
-    current_v = best_v = score(current)
-    stale = 0
-    for _ in range(budget - 1):  # one evaluation per step after the baseline
-        # restart: greedy flips stopped paying, take a fresh random word
-        restart = stale > 2 * n_bits
-        if restart:
-            cand = _marker_from_int(int(rng.integers(0, 2 ** n_bits)), n_bits)
-        else:
-            cand = _flip(current, int(rng.integers(0, n_bits)))
-        v = score(cand)
-        if restart or v > current_v:
-            current, current_v, stale = cand, v, 0
-            if v > best_v:
-                best, best_v = cand, v
-        else:
-            stale += 1
-    return best
+        best = max(words, key=score)  # the first of equal scores wins
+    else:
+        rng = SeededStream(seed).derive(_SEARCH_TAG, n_bits, payload_bits).generator()
+        current = best = Marker.alternating(n_bits)
+        current_v = best_v = score(current)
+        stale = 0
+        for _ in range(budget - 1):  # one evaluation per step after the baseline
+            # restart: greedy flips stopped paying, take a fresh random word
+            restart = stale > 2 * n_bits
+            if restart:
+                cand = _marker_from_int(int(rng.integers(0, 2 ** n_bits)), n_bits)
+            else:
+                cand = _flip(current, int(rng.integers(0, n_bits)))
+            v = score(cand)
+            if restart or v > current_v:
+                current, current_v, stale = cand, v, 0
+                if v > best_v:
+                    best, best_v = cand, v
+            else:
+                stale += 1
+    # the winner is the first word of its class the search scored, as a
+    # later one ties it and wins nothing, so the class's law is its own
+    return scored(best)[1] if distribution else best
 
 
 def _reproduction_counter(marker: Marker):

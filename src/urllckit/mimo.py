@@ -30,7 +30,12 @@ forms a channel matrix or a full precoder per realization.  A coherent
 method with its matched filter collects sigma_max^2 of g = H @ span, so
 evaluate takes only that eigenvalue, from the smaller Gram matrix (g g^H
 or g^H g), and never forms the weights: the top eigenvector of g^H g in
-build_precoder.
+build_precoder.  It takes the eigenvalue of all rows at once, without a
+LAPACK call per row: the trace-scaled Gram matrix's power sums give its
+characteristic polynomial by Newton's identities, and a certified Newton
+iteration from the Wolkowicz-Styan upper bound finds the top root.  A row
+whose root the rounding bound cannot certify to 1e-12 relative (a tie or
+near-tie at the top, a zero or non-finite matrix) goes to eigvalsh.
 
 evaluate computes no cross interference.  The other terminal's span lies
 in the orthogonal complement of the observed terminal's transmit support,
@@ -40,8 +45,8 @@ term is rounding noise: user_power |r^H H_0 f|^2 stays below 1e-20 up to
 60 dB, and adding it to the unit noise power changed no SINR bit.
 
 Everything runs on the calling thread, BLAS included.  A block is a few
-milliseconds of small batched products and LAPACK calls, too little to pay
-for a thread pool.  So the calls are shaped to stay below OpenBLAS's
+milliseconds of small batched products and elementwise steps, too little
+to pay for a thread pool.  So the calls are shaped to stay below OpenBLAS's
 threading sizes (a thin SVD, stacked per-row products, covariances formed
 only when read): a call large enough for the pool leaves its idle thread
 spinning for a tenth of a second, which doubled the CPU time of a run.
@@ -132,6 +137,10 @@ _PROJECT_ELEMENTS = 1 << 15
 # OpenBLAS runs a matrix-vector product on its thread pool from this many
 # matrix elements up (m * n >= 1024 * GEMM_MULTITHREAD_THRESHOLD)
 _GEMV_POOL = 4096
+# relative error up to which _top_singular keeps its Newton root, and the
+# most Newton steps it takes (a simple top root needs about eight)
+_TOP_EIG_RTOL = 1e-12
+_NEWTON_STEPS = 100
 
 
 def ula_steering(angles_deg, n_antennas: int) -> np.ndarray:
@@ -421,12 +430,87 @@ class _PrecoderContext:
 
 def _top_singular(g: np.ndarray) -> np.ndarray:
     """sigma_max^2 of each g, (count, N, d) -> (count,), from the smaller
-    Gram matrix: g g^H when N <= d, else g^H g."""
+    Gram matrix: g g^H when N <= d, else g^H g.
+
+    The top eigenvalue of all n x n Gram matrices at once, elementwise
+    over the rows.  Scaled by its trace, a Gram matrix A has eigenvalues in
+    [0, 1] summing to 1, so nothing below under- or overflows.  The power
+    sums p_k = tr(A^k), k <= n, come from the powers of A up to ceil(n/2)
+    (one stacked product for n <= 4), and Newton's identities turn them
+    into the characteristic polynomial P.  Its roots are all real, so
+    Newton's iteration started above the largest one, at the
+    Wolkowicz-Styan bound m + s sqrt(n - 1) (m and s^2 the mean and
+    variance of the eigenvalues), decreases monotonically to it; it stops
+    once no row decreases.  A row's root lam is kept only if it is
+    certified, the others (ties, near-ties, zero or non-finite matrices)
+    go to eigvalsh:
+
+    - rounding moves P(lam) by at most about n eps H(lam), where H has the
+      complete homogeneous sums h_k (k h_k = sum_i h_{k-i} p_i), which
+      bound every term of Newton's identities; some root lies within n
+      |P/P'| of lam, so n (n eps H(lam) + |P(lam)|) must stay within
+      _TOP_EIG_RTOL lam P'(lam);
+    - lam is the largest root: any other root leaves lam^n of the top one
+      in p_n - lam^n, so that must stay below (1 - 1e-6) lam^n.
+    """
     gh = g.conj().swapaxes(1, 2)
     gram = g @ gh if g.shape[1] <= g.shape[2] else gh @ g
-    if gram.shape[1] == 1:
+    count, n = gram.shape[:2]
+    if n == 1:
         return gram[:, 0, 0].real
-    return np.linalg.eigvalsh(gram)[:, -1]
+    trace = np.einsum("kii->k", gram).real
+    # a zero or non-finite trace, or a step at a multiple root, leaves NaN
+    # or inf in a row, which then fails the certificate
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a = (gram.view(float) / trace[:, None, None]).view(complex)
+        powers = [a]
+        while len(powers) < (n + 1) // 2:
+            powers.append(powers[-1] @ a)
+        # tr(x y) = sum_ij x_ij conj(y_ij) for Hermitian y, over the real
+        # view of each power; p_k = tr(A^i A^(k-i)), 1 <= i, k - i <= ceil(n/2)
+        flat = [x.view(float).reshape(count, -1) for x in powers]
+        sums = [np.einsum("kii->k", a).real] + [
+            np.einsum("ki,ki->k", flat[(k + 1) // 2 - 1], flat[k // 2 - 1])
+            for k in range(2, n + 1)]
+        # Newton's identities, k c_k = -sum_{i=1..k} c_{k-i} p_i with
+        # c_0 = 1, for P(x) = x^n + c_1 x^(n-1) + ... + c_n; h alongside
+        c, h = [None], [None]
+        for k in range(1, n + 1):
+            signed = magnitude = sums[k - 1]
+            for i in range(1, k):
+                signed = signed + c[k - i] * sums[i - 1]
+                magnitude = magnitude + h[k - i] * sums[i - 1]
+            c.append(signed / -k)
+            h.append(magnitude / k)
+        mean = sums[0] / n
+        lam = mean + math.sqrt(n - 1) * np.sqrt(
+            np.maximum(sums[1] / n - mean * mean, 0.0))
+        for _ in range(_NEWTON_STEPS):
+            p, dp = _monic_horner(c, lam)
+            step = lam - p / dp
+            down = step < lam
+            if not down.any():
+                break
+            lam = np.where(down, step, lam)
+        else:
+            p, dp = _monic_horner(c, lam)
+        rounding = n * np.finfo(float).eps * _monic_horner(h, lam)[0]
+        power = lam ** n
+        ok = ((n * (rounding + np.abs(p)) <= _TOP_EIG_RTOL * lam * dp)
+              & (lam > 0) & (sums[-1] - power <= (1.0 - 1e-6) * power))
+    top = lam * trace
+    if not ok.all():
+        top[~ok] = np.linalg.eigvalsh(gram[~ok])[:, -1]
+    return top
+
+
+def _monic_horner(c, x: np.ndarray):
+    """(P(x), P'(x)) for P(x) = x^n + c[1] x^(n-1) + ... + c[n]."""
+    p, dp = x + c[1], 1.0
+    for ck in c[2:]:
+        dp = dp * x + p
+        p = p * x + ck
+    return p, dp
 
 
 def _coefficients(method: str, ctx: _PrecoderContext, g: np.ndarray,
@@ -543,6 +627,7 @@ def evaluate(
                          f"got {rho_db!r}")
     payload_bits = check_count("payload_bits", payload_bits)
     slots = check_count("slots", slots)
+    estimation_noise_std = check_real("estimation_noise_std", estimation_noise_std)
     check_nonnegative("estimation_noise_std", estimation_noise_std)
 
     covs = (covariance(spec, 0), covariance(spec, 1))

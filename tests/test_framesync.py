@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from urllckit import framesync
+from urllckit.cli import EXIT_OK, run
 from urllckit.framesync import (
     Marker,
     occurrence_distribution,
@@ -261,6 +262,27 @@ def test_search_marker_scores_each_autocorrelation_class_once(monkeypatch):
     seen.clear()
     search_marker(23, 256, budget=100, seed=1)
     assert len(seen) == len(set(seen)) > 0
+
+
+def test_search_marker_returns_the_winners_law():
+    # exhaustive (n_bits = 8) and hill climbing (n_bits = 23): the law the
+    # search scored the winner by is the one a fresh DP of the winner gives
+    for n_bits, budget in ((8, 256), (23, 100)):
+        dist = search_marker(n_bits, 256, budget=budget, seed=1, distribution=True)
+        best = search_marker(n_bits, 256, budget=budget, seed=1)
+        own = occurrence_distribution(best, 256)
+        assert dist.marker == best
+        assert dist.probs == own.probs and dist.tail_mass == own.tail_mass
+
+
+def test_framesync_sweep_runs_one_dp_per_scored_class(monkeypatch, tmp_path):
+    # the sweep prints the winner's law from the search: at 23 and 24 bits
+    # the searches score 21 classes, and the sweep runs no DP beyond them
+    seen = count_scored(monkeypatch, autocorrelation)
+    out = tmp_path / "fs.csv"
+    assert run(["framesync", "sweep", "--out", str(out), "--nm-min", "23",
+                "--nm-max", "24", "--payload-bits", "256", "--budget", "100"]) == EXIT_OK
+    assert len(seen) == len(set(seen)) == 21
 
 
 def test_search_marker_validation():

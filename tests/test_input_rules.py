@@ -141,7 +141,8 @@ _ROWS = [
     pytest.param("estimation_noise_std", lambda v: mimo.evaluate(
         _SPEC, ("strongest_sv_inst",), 0.0, "space", MonteCarloConfig(10, 0),
         estimation_noise_std=v), 0.5,
-        (math.nan, math.inf, -1.0, "1", True, np.True_), id="evaluate-estimation_noise_std"),
+        (math.nan, math.inf, -1.0, "1", True, np.True_, [0.5], np.array([0.5])),
+        id="evaluate-estimation_noise_std"),
     # a real number whose noise level 10^(-snr_db/20) is finite; +inf means none
     pytest.param("snr_db", lambda v: framesync.simulate_sync(_MARKER, 12, v, _MC), math.inf,
                  (math.nan, -math.inf, -1e4, "8", True, np.True_, 8j, [8.0], np.array(8.0)),

@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from urllckit import mimo
 from urllckit.mimo import (
@@ -646,3 +649,68 @@ def test_top_singular_degenerate(kind, shape):
     gain = np.sum(np.abs(np.einsum("kid,kd->ki", g, c)) ** 2, axis=1)
     np.testing.assert_allclose(gain, smax2, rtol=1e-12)
     np.testing.assert_allclose(mimo._top_singular(g), smax2, rtol=1e-12)
+
+
+def _gram_top(g):
+    """Top eigenvalue of the smaller Gram matrix of each g, by eigvalsh."""
+    gh = g.conj().swapaxes(1, 2)
+    gram = g @ gh if g.shape[1] <= g.shape[2] else gh @ g
+    return np.linalg.eigvalsh(gram)[:, -1]
+
+
+@given(
+    shape=st.tuples(st.integers(1, 8), st.integers(1, 8)),
+    kind=st.sampled_from(["spread", "tie", "near_tie", "cluster", "rank_deficient",
+                          "zero"]),
+    gap_exp=st.floats(3.0, 12.0),
+    scale_exp=st.floats(-150.0, 150.0),
+    count=st.integers(1, 4),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_top_singular_matches_eigvalsh(shape, kind, gap_exp, scale_exp, count, seed):
+    # every row is either certified by the Newton iteration or recomputed
+    # by eigvalsh, so each agrees with eigvalsh at any n, spectrum and scale
+    rng = np.random.default_rng(seed)
+    r = min(shape)
+    sv = np.sort(rng.uniform(0.1, 1.0, r))[::-1]
+    sv[0] = 1.0
+    if kind == "tie":
+        sv[:int(rng.integers(2, r + 1)) if r > 1 else 1] = 1.0
+    elif kind == "near_tie" and r > 1:
+        sv[1] = 1.0 - 10.0 ** -gap_exp
+    elif kind == "cluster":
+        sv[1:] = 1.0 - 10.0 ** -gap_exp * rng.uniform(0.0, 1.0, r - 1)
+    elif kind == "rank_deficient" and r > 1:
+        sv[int(rng.integers(1, r)):] = 0.0
+    elif kind == "zero":
+        sv[:] = 0.0
+    g = _with_singular_values(sv, shape, rng, count) * 10.0 ** scale_exp
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = mimo._top_singular(g)
+    np.testing.assert_allclose(got, _gram_top(g), rtol=1e-12, atol=0.0)
+
+
+def test_top_singular_sends_only_degenerate_rows_to_eigvalsh(monkeypatch):
+    rows = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        rows.append(a.shape[0])
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    # the benchmark's rich4 run at angle seed 1: 2 x 12,288 4 x 4 Gram
+    # matrices, every one certified
+    spec = random_cluster_spec(seed=1, **_EVAL_GEOMETRIES["rich4"])
+    res = evaluate(spec, METHODS, 10.0, "space", MonteCarloConfig(12_288, 0))
+    assert res.results["all_sv_coh"].sinr.shape == (12_288,)
+    assert sum(rows) == 0
+    # an exact tie sigma_1 = sigma_2 resolves only to sqrt(eps) through the
+    # polynomial, so each of those rows goes to eigvalsh
+    rng = np.random.default_rng(11)
+    for shape in ((2, 5), (3, 3), (5, 2)):
+        rows.clear()
+        g = _with_singular_values([2.0, 2.0, 0.5][:min(shape)], shape, rng, 6)
+        np.testing.assert_allclose(mimo._top_singular(g), 4.0, rtol=1e-12)
+        assert sum(rows) == 6
