@@ -25,7 +25,7 @@ def main() -> None:
     print(f"{'N_m':>4}  {'marker':<20}  {header:<27}  {'simulated':>9}")
     last = None
     for nm in LENGTHS:
-        dist = search_marker(nm, PAYLOAD_BITS, budget=200, seed=0, distribution=True)
+        dist = search_marker(nm, PAYLOAD_BITS, budget=200, seed=0)
         marker = dist.marker
         last = dist
         bounds = "  ".join(f"{p_ub_list(dist, l):.5f}" for l in LIST_LENGTHS)

@@ -166,7 +166,7 @@ def _cmd_framesync_sweep(args, argv) -> int:
     for nm in range(args.nm_min, args.nm_max + 1):
         dist = framesync.search_marker(
             nm, args.payload_bits, budget=args.budget, seed=args.seed,
-            count_cap=args.count_cap, distribution=True)
+            count_cap=args.count_cap)
         marker_notes.append(f"N_m = {nm}: marker {dist.marker.as_string()}")
         for l in args.list_lengths:
             rows.append([nm, l, framesync.p_ub_list(dist, l)])

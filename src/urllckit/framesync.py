@@ -227,16 +227,15 @@ def _flip(marker: Marker, pos: int) -> Marker:
 
 
 def search_marker(n_bits: int, payload_bits: int, budget: int = 2048,
-                  seed: int = 0, count_cap: int = 32, *,
-                  distribution: bool = False):
-    """Best marker of length n_bits by the p_ub criterion.
+                  seed: int = 0, count_cap: int = 32) -> OccurrenceDistribution:
+    """The law of the best marker of length n_bits by the p_ub criterion.
 
     Exhaustive when the budget covers all 2^n_bits words (and n_bits is
     small enough for that to be sane); otherwise seeded hill climbing on
     single-bit flips with random restarts.  The alternating word is always
-    evaluated first, so the result is never worse than it.  With
-    distribution=True the result is the winner's OccurrenceDistribution
-    (its marker is the winner), the law the search scored it by.
+    evaluated first, so the result is never worse than it.  The result is
+    the winner's OccurrenceDistribution, the law the search scored it by;
+    its marker is the winner.
     """
     n_bits = check_count("n_bits", n_bits)
     budget = check_count("budget", budget)
@@ -256,16 +255,16 @@ def search_marker(n_bits: int, payload_bits: int, budget: int = 2048,
             entry = laws[key] = (p_ub(dist), dist)
         return entry
 
-    def score(marker: Marker) -> float:
-        return scored(marker)[0]
-
+    # a class's law is that of the first word of it the search scored, and
+    # the winner is that word: a later one only ties it, and ties never win
     if n_bits <= 16 and 2 ** n_bits <= budget:
         words = (_marker_from_int(value, n_bits) for value in range(2 ** n_bits))
-        best = max(words, key=score)  # the first of equal scores wins
+        _, best = max(map(scored, words), key=lambda entry: entry[0])
     else:
         rng = SeededStream(seed).derive(_SEARCH_TAG, n_bits, payload_bits).generator()
-        current = best = Marker.alternating(n_bits)
-        current_v = best_v = score(current)
+        current = Marker.alternating(n_bits)
+        current_v, best = scored(current)
+        best_v = current_v
         stale = 0
         for _ in range(budget - 1):  # one evaluation per step after the baseline
             # restart: greedy flips stopped paying, take a fresh random word
@@ -274,16 +273,14 @@ def search_marker(n_bits: int, payload_bits: int, budget: int = 2048,
                 cand = _marker_from_int(int(rng.integers(0, 2 ** n_bits)), n_bits)
             else:
                 cand = _flip(current, int(rng.integers(0, n_bits)))
-            v = score(cand)
+            v, law = scored(cand)
             if restart or v > current_v:
                 current, current_v, stale = cand, v, 0
                 if v > best_v:
-                    best, best_v = cand, v
+                    best, best_v = law, v
             else:
                 stale += 1
-    # the winner is the first word of its class the search scored, as a
-    # later one ties it and wins nothing, so the class's law is its own
-    return scored(best)[1] if distribution else best
+    return best
 
 
 def _reproduction_counter(marker: Marker):

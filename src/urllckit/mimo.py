@@ -138,9 +138,11 @@ _PROJECT_ELEMENTS = 1 << 15
 # matrix elements up (m * n >= 1024 * GEMM_MULTITHREAD_THRESHOLD)
 _GEMV_POOL = 4096
 # relative error up to which _top_singular keeps its Newton root, and the
-# most Newton steps it takes (a simple top root needs about eight)
+# most Newton steps it takes: every certified root seen took at most 15
+# (rich4 at most 8), while a tie converges only linearly and would keep its
+# whole chunk stepping; a row cut off goes to eigvalsh
 _TOP_EIG_RTOL = 1e-12
-_NEWTON_STEPS = 100
+_NEWTON_STEPS = 16
 
 
 def ula_steering(angles_deg, n_antennas: int) -> np.ndarray:
@@ -437,21 +439,13 @@ def _top_singular(g: np.ndarray) -> np.ndarray:
     [0, 1] summing to 1, so nothing below under- or overflows.  The power
     sums p_k = tr(A^k), k <= n, come from the powers of A up to ceil(n/2)
     (one stacked product for n <= 4), and Newton's identities turn them
-    into the characteristic polynomial P.  Its roots are all real, so
-    Newton's iteration started above the largest one, at the
+    into the characteristic polynomial P (_char_poly).  Its roots are all
+    real, so Newton's iteration started above the largest one, at the
     Wolkowicz-Styan bound m + s sqrt(n - 1) (m and s^2 the mean and
     variance of the eigenvalues), decreases monotonically to it; it stops
-    once no row decreases.  A row's root lam is kept only if it is
-    certified, the others (ties, near-ties, zero or non-finite matrices)
-    go to eigvalsh:
-
-    - rounding moves P(lam) by at most about n eps H(lam), where H has the
-      complete homogeneous sums h_k (k h_k = sum_i h_{k-i} p_i), which
-      bound every term of Newton's identities; some root lies within n
-      |P/P'| of lam, so n (n eps H(lam) + |P(lam)|) must stay within
-      _TOP_EIG_RTOL lam P'(lam);
-    - lam is the largest root: any other root leaves lam^n of the top one
-      in p_n - lam^n, so that must stay below (1 - 1e-6) lam^n.
+    once no row decreases, or after _NEWTON_STEPS.  A row's root is kept
+    only if _certified; the others (ties, near-ties, rows cut off by the
+    step limit, zero or non-finite matrices) go to eigvalsh.
     """
     gh = g.conj().swapaxes(1, 2)
     gram = g @ gh if g.shape[1] <= g.shape[2] else gh @ g
@@ -472,16 +466,7 @@ def _top_singular(g: np.ndarray) -> np.ndarray:
         sums = [np.einsum("kii->k", a).real] + [
             np.einsum("ki,ki->k", flat[(k + 1) // 2 - 1], flat[k // 2 - 1])
             for k in range(2, n + 1)]
-        # Newton's identities, k c_k = -sum_{i=1..k} c_{k-i} p_i with
-        # c_0 = 1, for P(x) = x^n + c_1 x^(n-1) + ... + c_n; h alongside
-        c, h = [None], [None]
-        for k in range(1, n + 1):
-            signed = magnitude = sums[k - 1]
-            for i in range(1, k):
-                signed = signed + c[k - i] * sums[i - 1]
-                magnitude = magnitude + h[k - i] * sums[i - 1]
-            c.append(signed / -k)
-            h.append(magnitude / k)
+        c, h = _char_poly(sums)
         mean = sums[0] / n
         lam = mean + math.sqrt(n - 1) * np.sqrt(
             np.maximum(sums[1] / n - mean * mean, 0.0))
@@ -494,14 +479,53 @@ def _top_singular(g: np.ndarray) -> np.ndarray:
             lam = np.where(down, step, lam)
         else:
             p, dp = _monic_horner(c, lam)
-        rounding = n * np.finfo(float).eps * _monic_horner(h, lam)[0]
-        power = lam ** n
-        ok = ((n * (rounding + np.abs(p)) <= _TOP_EIG_RTOL * lam * dp)
-              & (lam > 0) & (sums[-1] - power <= (1.0 - 1e-6) * power))
+        ok = _certified(h, sums[-1], lam, p, dp)
     top = lam * trace
     if not ok.all():
         top[~ok] = np.linalg.eigvalsh(gram[~ok])[:, -1]
     return top
+
+
+def _char_poly(sums):
+    """Coefficients [None, c_1, ..., c_n] of the monic characteristic
+    polynomial P(x) = x^n + c_1 x^(n-1) + ... + c_n from the power sums
+    [p_1, ..., p_n], and alongside them the complete homogeneous sums h_k.
+
+    Newton's identities, k c_k = -sum_{i=1..k} c_{k-i} p_i with c_0 = 1;
+    h has k h_k = sum_{i=1..k} h_{k-i} p_i, which for nonnegative
+    eigenvalues bounds every term of that sum.
+    """
+    c, h = [None], [None]
+    for k in range(1, len(sums) + 1):
+        signed = magnitude = sums[k - 1]
+        for i in range(1, k):
+            signed = signed + c[k - i] * sums[i - 1]
+            magnitude = magnitude + h[k - i] * sums[i - 1]
+        c.append(signed / -k)
+        h.append(magnitude / k)
+    return c, h
+
+
+def _certified(h, p_n, lam, p, dp):
+    """Rows where lam is the top root of P to _TOP_EIG_RTOL relative, for
+    P(lam) = p and P'(lam) = dp, with h and p_n as in _char_poly.
+
+    - Residual: rounding moves P(lam) by at most about n eps H(lam), where
+      H has the coefficients h_k; some root lies within n |P/P'| of lam, so
+      n (n eps H(lam) + |P(lam)|) must stay within _TOP_EIG_RTOL lam P'(lam).
+      This rejects a root the iteration has not reached, and a root of
+      a tie or near-tie, which the polynomial resolves to about sqrt(eps).
+    - Top root: any other root leaves lam^n of the top one in p_n - lam^n,
+      so that must stay below (1 - 1e-6) lam^n.  Newton's iteration from
+      above reaches a lower root only across a top pair that rounding made
+      complex, and the residual has rejected each such row seen; this test
+      does not rest on that.
+    """
+    n = len(h) - 1
+    rounding = n * np.finfo(float).eps * _monic_horner(h, lam)[0]
+    power = lam ** n
+    return ((n * (rounding + np.abs(p)) <= _TOP_EIG_RTOL * lam * dp)
+            & (lam > 0) & (p_n - power <= (1.0 - 1e-6) * power))
 
 
 def _monic_horner(c, x: np.ndarray):

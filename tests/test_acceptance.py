@@ -94,7 +94,7 @@ def test_a3_marker_length_threshold():
     payload = 256
     threshold = None
     for nm in range(16, 31):
-        marker = framesync.search_marker(nm, payload, budget=400, seed=0)
+        marker = framesync.search_marker(nm, payload, budget=400, seed=0).marker
         dist = framesync.occurrence_distribution(marker, payload)
         bounds = [framesync.p_ub_list(dist, l) for l in (1, 2, 4, 8)]
         assert all(a <= b + 1e-15 for a, b in zip(bounds, bounds[1:]))

@@ -193,21 +193,21 @@ def test_marker_validation():
 
 
 def test_search_marker_exhaustive_small():
-    best = search_marker(2, 2, budget=4)
+    best = search_marker(2, 2, budget=4).marker
     assert best.as_string() in ("01", "10")
     assert p_ub(occurrence_distribution(best, 2)) == 0.875
 
 
 def test_search_marker_never_worse_than_alternating():
-    best = search_marker(8, 32, budget=10, seed=5)
+    best = search_marker(8, 32, budget=10, seed=5).marker
     score = p_ub(occurrence_distribution(best, 32))
     baseline = p_ub(occurrence_distribution(Marker.alternating(8), 32))
     assert score >= baseline
 
 
 def test_search_marker_deterministic():
-    a = search_marker(10, 24, budget=40, seed=3)
-    b = search_marker(10, 24, budget=40, seed=3)
+    a = search_marker(10, 24, budget=40, seed=3).marker
+    b = search_marker(10, 24, budget=40, seed=3).marker
     assert a == b
 
 
@@ -223,7 +223,7 @@ SEARCH_GOLDENS = {
 @pytest.mark.parametrize("n_bits,previous", [(len(w), w) for w in SEARCH_GOLDENS])
 def test_search_marker_golden(n_bits, previous):
     expected = SEARCH_GOLDENS[previous]
-    assert search_marker(n_bits, 256, budget=100, seed=1).as_string() == expected
+    assert search_marker(n_bits, 256, budget=100, seed=1).marker.as_string() == expected
     exact = exact_p_ub(expected, 256)
     assert exact >= exact_p_ub(previous, 256)
     # the float DP agrees with the exact law to rounding
@@ -253,7 +253,7 @@ def test_search_marker_scores_each_distinct_word_once(monkeypatch):
 
 def test_search_marker_scores_each_autocorrelation_class_once(monkeypatch):
     seen = count_scored(monkeypatch, autocorrelation)
-    best = search_marker(23, 256, budget=100, seed=1)
+    best = search_marker(23, 256, budget=100, seed=1).marker
     assert best.as_string() == "00101010101010101111101"
     assert len(seen) == len(set(seen))
     # the climb revisits classes, so a 100-evaluation budget scores fewer
@@ -268,10 +268,8 @@ def test_search_marker_returns_the_winners_law():
     # exhaustive (n_bits = 8) and hill climbing (n_bits = 23): the law the
     # search scored the winner by is the one a fresh DP of the winner gives
     for n_bits, budget in ((8, 256), (23, 100)):
-        dist = search_marker(n_bits, 256, budget=budget, seed=1, distribution=True)
-        best = search_marker(n_bits, 256, budget=budget, seed=1)
-        own = occurrence_distribution(best, 256)
-        assert dist.marker == best
+        dist = search_marker(n_bits, 256, budget=budget, seed=1)
+        own = occurrence_distribution(dist.marker, 256)
         assert dist.probs == own.probs and dist.tail_mass == own.tail_mass
 
 

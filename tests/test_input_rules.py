@@ -65,8 +65,8 @@ _ROWS = [
     _count("occurrence_distribution", "count_cap", lambda c: (
         framesync.occurrence_distribution(_MARKER, 16, count_cap=c).tail_mass), 1),
     _count("p_ub_list", "list_len", lambda l: framesync.p_ub_list(_DIST, l), 2),
-    _count("search_marker", "n_bits", lambda n: framesync.search_marker(n, 16, budget=64), 6),
-    _count("search_marker", "budget", lambda b: framesync.search_marker(12, 16, budget=b), 20),
+    _count("search_marker", "n_bits", lambda n: framesync.search_marker(n, 16, budget=64).marker, 6),
+    _count("search_marker", "budget", lambda b: framesync.search_marker(12, 16, budget=b).marker, 20),
     _count("simulate_sync", "payload_bits", lambda n: framesync.simulate_sync(
         _MARKER, n, None, _MC), 12),
     _count("ula_steering", "n_antennas", lambda n: mimo.ula_steering([0.0, 30.0], n), 4),

@@ -714,3 +714,34 @@ def test_top_singular_sends_only_degenerate_rows_to_eigvalsh(monkeypatch):
         g = _with_singular_values([2.0, 2.0, 0.5][:min(shape)], shape, rng, 6)
         np.testing.assert_allclose(mimo._top_singular(g), 4.0, rtol=1e-12)
         assert sum(rows) == 6
+
+
+def test_top_singular_residual_rejects_unresolved_and_unfinished_roots(monkeypatch):
+    # rows only the residual test rejects, as each root lies at or above
+    # the top eigenvalue: a near-tie, which the polynomial resolves to
+    # 1.6e-11 relative, and roots cut off by the step limit
+    rng = np.random.default_rng(11)
+    near = _with_singular_values([1.0, 1.0 - 1e-5], (2, 5), rng, 6)
+    np.testing.assert_allclose(mimo._top_singular(near), _gram_top(near),
+                               rtol=1e-12, atol=0.0)
+    spread = _with_singular_values([1.0, 0.8, 0.5, 0.2], (4, 4), rng, 6)
+    monkeypatch.setattr(mimo, "_NEWTON_STEPS", 1)
+    np.testing.assert_allclose(mimo._top_singular(spread), _gram_top(spread),
+                               rtol=1e-12, atol=0.0)
+
+
+def test_top_singular_certificate_keeps_only_the_top_root():
+    # eigenvalues 1/2, 3/8 and 1/8, so P and its values are exact: the third
+    # root has P' > 0 and zero residual, and only the top-root test rejects it
+    eig = np.array([0.5, 0.375, 0.125])
+    sums = [np.sum(eig ** k, keepdims=True) for k in (1, 2, 3)]
+    c, h = mimo._char_poly(sums)
+
+    def certified(lam):
+        lam = np.array([lam])
+        return bool(mimo._certified(h, sums[-1], lam, *mimo._monic_horner(c, lam))[0])
+
+    assert certified(0.5)
+    assert not certified(0.375)       # P' < 0 at the second root
+    assert not certified(0.125)
+    assert not certified(0.5 + 1e-9)  # not yet a root
