@@ -30,7 +30,7 @@ def _table(title: str, spec, rho_db: float) -> None:
           f"{'PER after %d slots' % SLOTS:>19}")
     for m in METHODS:
         r = ev.results[m]
-        sinr_db = 10.0 * math.log10(r.mean_sinr)
+        sinr_db = 10.0 * math.log10(r.sinr_mean.mean)
         print(f"{m:<18} {DEFAULT_ATTEMPTS_PER_SLOT[m]:>8} {sinr_db:>14.2f} "
               f"{r.per_slot[-1]:>19.3e}")
 

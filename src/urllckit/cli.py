@@ -236,7 +236,7 @@ def _cmd_mimo(args, argv) -> int:
             per_rows.append([method, n_rx, slot_idx, float(per)])
         pct = np.percentile(res.sinr, _SINR_PCTS)
         pct_db = [10.0 * math.log10(max(v, 1e-300)) for v in pct]
-        mean_db = 10.0 * math.log10(max(res.mean_sinr, 1e-300))
+        mean_db = 10.0 * math.log10(max(res.sinr_mean.mean, 1e-300))
         sinr_rows.append([method, n_rx, *pct_db, mean_db])
     _write_csv(args.out, comments, ["method", "N", "slot", "PER"], per_rows)
     sinr_out = args.sinr_out
@@ -287,7 +287,7 @@ def _cmd_ratesel_sweep(args, argv) -> int:
             rows.append([
                 kind, n, args.eps,
                 args.xi if kind == "pcr" else "",
-                res.ratio, res.ci_low, res.ci_high,
+                res.ratio.mean, *res.ratio.ci(),
             ])
     comments = [
         _command_comment(argv),

@@ -17,9 +17,10 @@ after each of the 256 bytes and the matches completed inside it, moves
 the joint law of (state, count) through a byte with one matrix product.
 The n mod 8 leftover bits step one at a time.  Counts above a cap are
 summed into a tail mass, which the bounds score as zero.  A word's law
-depends only on its autocorrelation (Guibas & Odlyzko, 1981), so the
-marker search scores each autocorrelation class once per call, and words
-of one class tie exactly.
+depends only on its autocorrelation (Guibas & Odlyzko, 1981): words of one
+class have the same law in exact arithmetic, though the float DP may give
+them laws that differ in the last bits, so the marker search scores each
+autocorrelation class once per call.
 
 The Monte-Carlo detector checks the bound.  It draws the payload as
 packed bytes.  Without noise it needs no correlation at all: offset 0
@@ -233,16 +234,17 @@ def search_marker(n_bits: int, payload_bits: int, budget: int = 2048,
     Exhaustive when the budget covers all 2^n_bits words (and n_bits is
     small enough for that to be sane); otherwise seeded hill climbing on
     single-bit flips with random restarts.  The alternating word is always
-    evaluated first, so the result is never worse than it.  The result is
-    the winner's OccurrenceDistribution, the law the search scored it by;
-    its marker is the winner.
+    evaluated first, so the result is never worse than it.  Restarts draw
+    a word as a 64-bit integer, so the climb takes n_bits up to 64.  The
+    result is the winner's OccurrenceDistribution, the law the search
+    scored it by; its marker is the winner.
     """
     n_bits = check_count("n_bits", n_bits)
     budget = check_count("budget", budget)
 
-    # a word's law depends only on its autocorrelation, so score each class
-    # once per search: the climb revisits classes, and words of one class
-    # tie exactly
+    # words of one autocorrelation class have one law in exact arithmetic,
+    # though the float DP may differ in the last bits, so score each class
+    # once per search: the climb revisits classes
     laws = {}
 
     def scored(marker: Marker):
@@ -261,6 +263,9 @@ def search_marker(n_bits: int, payload_bits: int, budget: int = 2048,
         words = (_marker_from_int(value, n_bits) for value in range(2 ** n_bits))
         _, best = max(map(scored, words), key=lambda entry: entry[0])
     else:
+        if n_bits > 64:
+            raise ValueError(f"n_bits must be at most 64 for the climbing search, "
+                             f"got {n_bits}")
         rng = SeededStream(seed).derive(_SEARCH_TAG, n_bits, payload_bits).generator()
         current = Marker.alternating(n_bits)
         current_v, best = scored(current)
@@ -270,7 +275,9 @@ def search_marker(n_bits: int, payload_bits: int, budget: int = 2048,
             # restart: greedy flips stopped paying, take a fresh random word
             restart = stale > 2 * n_bits
             if restart:
-                cand = _marker_from_int(int(rng.integers(0, 2 ** n_bits)), n_bits)
+                # uint64 reaches 2^64 and draws as int64 does below it
+                cand = _marker_from_int(
+                    int(rng.integers(0, 2 ** n_bits, dtype=np.uint64)), n_bits)
             else:
                 cand = _flip(current, int(rng.integers(0, n_bits)))
             v, law = scored(cand)

@@ -74,6 +74,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .simcore import (
+    Estimate,
     MonteCarloConfig,
     SeededStream,
     check_count,
@@ -214,8 +215,14 @@ def random_cluster_spec(
 
     arrival_spread_deg defaults to spread_deg; setting it wider than the
     departure spread models terminals in rich local scattering seen through
-    a narrow departure sector.
+    a narrow departure sector.  Each center sequence gives one center per
+    terminal, so it must have exactly 2 entries.
     """
+    for name, centers in (("departure_centers_deg", departure_centers_deg),
+                          ("arrival_centers_deg", arrival_centers_deg)):
+        if len(centers) != 2:
+            raise ValueError(f"{name} must be 2 centers, one per terminal, "
+                             f"got {centers!r}")
     paths = check_count("paths", paths)
     check_nonnegative("spread_deg", spread_deg)
     if arrival_spread_deg is None:
@@ -582,12 +589,16 @@ def build_precoder(method: str, own_cov: CovariancePair,
 
 @dataclass(frozen=True, eq=False)
 class MethodResult:
-    """Per-method Monte-Carlo outcome for the observed terminal."""
+    """Per-method Monte-Carlo outcome for the observed terminal.
+
+    sinr holds the per-trial SINRs and sinr_mean their mean as an Estimate.
+    mean_per is the mean per-attempt PER, a bare float: at the PERs of
+    interest its squares underflow (below about 1e-154), so no SE is formed.
+    """
 
     method: str
     sinr: np.ndarray
-    mean_sinr: float
-    sinr_ci: tuple
+    sinr_mean: Estimate
     mean_per: float
     per_slot: np.ndarray
 
@@ -722,8 +733,9 @@ def evaluate(
     slot_axis = np.arange(1, slots + 1)
     for col, method in enumerate(methods):
         s = sinr_all[:, col]
-        mean = float(s.mean())
-        se = float(s.std(ddof=1) / math.sqrt(k)) if k > 1 else 0.0
+        # squares in units of user_power, so they stay normal at any rho_db
+        sinr_mean = Estimate.from_sums(s.sum(), np.square(s / user_power).sum(), k,
+                                       unit=user_power)
         per = _per_attempt(s, payload_bits)
         mean_per = float(per.mean())
         active = slot_axis if spatial else np.ceil(slot_axis / 2.0)
@@ -732,8 +744,7 @@ def evaluate(
         results[method] = MethodResult(
             method=method,
             sinr=s,
-            mean_sinr=mean,
-            sinr_ci=(mean - 1.96 * se, mean + 1.96 * se),
+            sinr_mean=sinr_mean,
             mean_per=mean_per,
             per_slot=per_slot,
         )

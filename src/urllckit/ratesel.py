@@ -27,6 +27,7 @@ from typing import Optional
 import numpy as np
 
 from .simcore import (
+    Estimate,
     MonteCarloConfig,
     check_count,
     check_nonnegative,
@@ -165,16 +166,17 @@ class BackoffPolicy:
 
 @dataclass(frozen=True)
 class ThroughputResult:
-    """Monte-Carlo throughput ratio with a 95% CI and reliability audits."""
+    """Monte-Carlo throughput ratio and reliability audits, each an Estimate.
 
-    ratio: float
-    ci_low: float
-    ci_high: float
-    mean_outage: float
-    mean_outage_se: float
-    violation_fraction: float
+    ratio is the delivered rate over R_eps(theta) * (1 - eps); outage is the
+    conditional outage (the ar target); violation is the fraction of trials
+    whose conditional outage exceeds eps (the pcr target).
+    """
+
+    ratio: Estimate
+    outage: Estimate
+    violation: Estimate
     epsilon_n: float
-    trials: int
 
 
 def throughput_ratio(scenario: RayleighScenario, policy: BackoffPolicy, n: int,
@@ -186,15 +188,22 @@ def throughput_ratio(scenario: RayleighScenario, policy: BackoffPolicy, n: int,
     fits the realized channel.  The estimate is the mean of n exponential
     training powers, which is exactly Gamma(n, theta/n), so it is drawn
     once from that law: a trial costs O(1) for any n.  Normalization is
-    R_eps(theta) * (1 - eps).  Also reports the mean conditional outage
-    (the ar target) and the fraction of trials whose conditional outage
-    exceeds eps (the pcr target).
+    R_eps(theta) * (1 - eps).
+
+    The stream is keyed by (tag, n) only, so the policies share every draw
+    at one n (common random numbers): the ar and pcr rows of one sweep are
+    correlated, and an unlucky seed moves them together.  At large n the
+    estimate is nearly exact, so the ratio's spread comes from the trials
+    in outage, about eps * trials of them (10 at eps = 1e-3 and 1e4
+    trials): the normal CI rests on that few events.  Squares are summed in
+    units of R_eps(theta) and of eps, so no SE underflows to 0 at small eps.
     """
     n = check_count("n", n)
     theta = scenario.theta
     eps = policy.eps
     eps_n = policy.epsilon_n(n)
     log_backoff = math.log1p(-eps_n)  # negative
+    genie = outage_capacity(theta, eps)
 
     def block_fn(rng: np.random.Generator, start: int, count: int):
         theta_hat = rng.gamma(n, theta / n, size=count)
@@ -205,29 +214,21 @@ def throughput_ratio(scenario: RayleighScenario, policy: BackoffPolicy, n: int,
         cond_outage = -np.expm1(theta_hat / theta * log_backoff)
         return (
             delivered.sum(),
-            (delivered ** 2).sum(),
+            np.square(delivered / genie).sum(),
             cond_outage.sum(),
-            (cond_outage ** 2).sum(),
+            np.square(cond_outage / eps).sum(),
             (cond_outage > eps).sum(),
         )
 
     sums = run_monte_carlo(mc.trials, _BLOCK_TRIALS, mc.stream(_THROUGHPUT_TAG, n),
                            block_fn, workers=workers)
-    s1, s2, o1, o2, viol = (float(v) for v in sums)
+    s1, s2, o1, o2, viol = sums
     k = mc.trials
-    denom = outage_capacity(theta, eps) * (1.0 - eps)
-    mean_del = s1 / k
-    var_del = max(s2 / k - mean_del ** 2, 0.0)
-    se_del = math.sqrt(var_del / k)
-    mean_out = o1 / k
-    var_out = max(o2 / k - mean_out ** 2, 0.0)
+    delivered = Estimate.from_sums(s1, s2, k, unit=genie)
+    denom = genie * (1.0 - eps)
     return ThroughputResult(
-        ratio=mean_del / denom,
-        ci_low=(mean_del - 1.96 * se_del) / denom,
-        ci_high=(mean_del + 1.96 * se_del) / denom,
-        mean_outage=mean_out,
-        mean_outage_se=math.sqrt(var_out / k),
-        violation_fraction=viol / k,
+        ratio=Estimate(delivered.mean / denom, delivered.se / denom, k),
+        outage=Estimate.from_sums(o1, o2, k, unit=eps),
+        violation=Estimate.from_sums(viol, viol, k),
         epsilon_n=eps_n,
-        trials=k,
     )

@@ -7,7 +7,9 @@ of independent failures, kept in the error domain so 1e-17 stays 1e-17),
 the input checks (a count is an integer, a probability a real in [0, 1]
 or, elementwise over arrays, in (0, 1), a positive or nonnegative
 parameter a finite real above or at 0, a finite one any finite real, also
-elementwise), and a reproducible stream abstraction.
+elementwise), the one Monte-Carlo estimate type (Estimate: mean, standard
+error and trial count, with its normal confidence interval), and a
+reproducible stream abstraction.
 MonteCarloConfig.stream is the one rule that keys a simulation's stream
 from its master seed.  Streams are keyed Philox generators: the
 (master_seed, substream_id) pair is the 128-bit key, so equal pairs give
@@ -17,6 +19,7 @@ streams.
 
 from __future__ import annotations
 
+import math
 import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -40,6 +43,7 @@ __all__ = [
     "check_nonnegative",
     "check_finite",
     "check_real",
+    "Estimate",
     "SeededStream",
     "MonteCarloConfig",
     "run_monte_carlo",
@@ -234,6 +238,37 @@ def check_real(name: str, value) -> float:
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a real number, got {value!r}")
     return float(value)
+
+
+@dataclass(frozen=True)
+class Estimate:
+    """A Monte-Carlo mean with its standard error and trial count."""
+
+    mean: float
+    se: float
+    trials: int
+
+    @classmethod
+    def from_sums(cls, total, total_sq, trials: int, unit: float = 1.0) -> "Estimate":
+        """Estimate of the mean of trials samples x from total = sum(x) and
+        total_sq = sum((x / unit)^2).
+
+        unit is a scale the caller knows x to be of (a target probability, a
+        reference rate, a signal power), so the squares stay normal numbers
+        where those of x, below about 1e-154, underflow and would zero the
+        SE.  The SE is unit * sqrt(var / trials), var being the population
+        variance of x / unit, floored at 0 where rounding makes it negative.
+        """
+        trials = check_count("trials", trials)
+        mean = float(total) / trials
+        scaled = mean / unit
+        var = max(float(total_sq) / trials - scaled * scaled, 0.0)
+        return cls(mean, unit * math.sqrt(var / trials), trials)
+
+    def ci(self, z: float = 1.96) -> tuple:
+        """Normal confidence interval mean -/+ z * se (95% at the default z)."""
+        half = z * self.se
+        return (self.mean - half, self.mean + half)
 
 
 def _check_seed(name: str, value) -> int:

@@ -176,15 +176,15 @@ def test_a6_rate_backoff_statistics():
             ar = ratesel.throughput_ratio(
                 sc, ratesel.BackoffPolicy("ar", eps), n,
                 MonteCarloConfig(trials, 31), workers=4)
-            pull = abs(ar.mean_outage - eps) / ar.mean_outage_se
+            pull = abs(ar.outage.mean - eps) / ar.outage.se
             worst_ar = max(worst_ar, pull)
             assert pull <= 4.0
             pcr = ratesel.throughput_ratio(
                 sc, ratesel.BackoffPolicy("pcr", eps, xi), n,
                 MonteCarloConfig(trials, 31), workers=4)
             sigma = math.sqrt(xi * (1.0 - xi) / trials)
-            worst_pcr = max(worst_pcr, pcr.violation_fraction - xi)
-            assert pcr.violation_fraction <= xi + 4.0 * sigma
+            worst_pcr = max(worst_pcr, pcr.violation.mean - xi)
+            assert pcr.violation.mean <= xi + 4.0 * sigma
 
     # throughput trends, on a training grid where the analytic margins
     # exceed the Monte-Carlo resolution
@@ -198,12 +198,13 @@ def test_a6_rate_backoff_statistics():
             for n in (1, 3, 10)]
     for kind in ("ar", "pcr"):
         seq = trend[kind]
-        assert all(r.ci_high < 1.0 for r in seq)
-        assert all(a.ci_high < b.ci_low for a, b in zip(seq, seq[1:]))
-    assert all(p.ci_high < a.ci_low for p, a in zip(trend["pcr"], trend["ar"]))
+        assert all(r.ratio.ci()[1] < 1.0 for r in seq)
+        assert all(a.ratio.ci()[1] < b.ratio.ci()[0] for a, b in zip(seq, seq[1:]))
+    assert all(p.ratio.ci()[1] < a.ratio.ci()[0]
+               for p, a in zip(trend["pcr"], trend["ar"]))
     elapsed = perf_counter() - t0
     assert elapsed < 300.0
-    ar_ratios = ", ".join(f"{r.ratio:.4f}" for r in trend["ar"])
+    ar_ratios = ", ".join(f"{r.ratio.mean:.4f}" for r in trend["ar"])
     _report("rate-selection back-off",
             f"audits within 4 sigma on the 3x3 grid (worst ar pull "
             f"{worst_ar:.2f}), throughput ratios below one and increasing "
@@ -255,10 +256,10 @@ def test_a7_beamforming_properties():
     r = ev1.results
     if_res = r["interference_free"]
     coh = r["all_sv_coh"]
-    assert if_res.mean_sinr >= coh.mean_sinr
-    assert if_res.sinr_ci[0] > coh.sinr_ci[1]
+    assert if_res.sinr_mean.mean >= coh.sinr_mean.mean
+    assert if_res.sinr_mean.ci()[0] > coh.sinr_mean.ci()[1]
     for sub in ("strongest_sv_inst", "all_sv_ncoh", "strongest_sv_av"):
-        assert coh.mean_sinr >= r[sub].mean_sinr
+        assert coh.sinr_mean.mean >= r[sub].sinr_mean.mean
 
     # four-antenna terminals in rich local scattering: the non-coherent
     # superposition wins the PER race at every matched slot count

@@ -265,9 +265,11 @@ def test_search_marker_scores_each_autocorrelation_class_once(monkeypatch):
 
 
 def test_search_marker_returns_the_winners_law():
-    # exhaustive (n_bits = 8) and hill climbing (n_bits = 23): the law the
-    # search scored the winner by is the one a fresh DP of the winner gives
-    for n_bits, budget in ((8, 256), (23, 100)):
+    # exhaustive (n_bits = 8) and hill climbing (n_bits = 23 and 64): the law
+    # the search scored the winner by is the one a fresh DP of the winner
+    # gives.  At 64 bits budget 400 reaches a random restart, whose word
+    # was drawn past int64's range
+    for n_bits, budget in ((8, 256), (23, 100), (64, 400)):
         dist = search_marker(n_bits, 256, budget=budget, seed=1)
         own = occurrence_distribution(dist.marker, 256)
         assert dist.probs == own.probs and dist.tail_mass == own.tail_mass
@@ -288,6 +290,25 @@ def test_search_marker_validation():
         search_marker(0, 8)
     with pytest.raises(ValueError):
         search_marker(4, 8, budget=0)
+    # restarts draw 64-bit words, so a longer climb is refused by name
+    with pytest.raises(ValueError, match=r"\bn_bits must be at most 64"):
+        search_marker(65, 64, budget=400)
+
+
+def test_word_reversal_and_complement_laws_agree_to_rounding():
+    # one autocorrelation class, one law in exact arithmetic; the float DP
+    # may differ in the last bits, which is why the search scores a class once
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        m = int(rng.integers(8, 25))
+        bits = tuple(int(b) for b in rng.integers(0, 2, m))
+        ref = occurrence_distribution(Marker(bits), 256)
+        for twin in (bits[::-1], tuple(1 - b for b in bits)):
+            law = occurrence_distribution(Marker(twin), 256)
+            assert law.probs.keys() == ref.probs.keys()
+            for count, prob in ref.probs.items():
+                assert law.probs[count] == pytest.approx(prob, rel=1e-13, abs=0.0)
+            assert law.tail_mass == pytest.approx(ref.tail_mass, rel=1e-13, abs=0.0)
 
 
 def correlation_ties(marker: Marker, payload: np.ndarray, noise=None):

@@ -119,6 +119,13 @@ _ROWS = [
         mimo.random_cluster_spec(4, paths=3, arrival_spread_deg=v)), 90.0),
     _nonnegative("random_cluster_spec", "span_db", lambda v: mimo.random_cluster_spec(
         4, paths=3, span_db=v), 0.0),
+    # one center per terminal: a third was dropped, a single one built one cluster
+    pytest.param("departure_centers_deg", lambda v: mimo.random_cluster_spec(
+        4, paths=3, departure_centers_deg=v), (-6.0, 6.0),
+        ((-6.0, 6.0, 40.0), (-6.0,), ()), id="random_cluster_spec-departure_centers_deg"),
+    pytest.param("arrival_centers_deg", lambda v: mimo.random_cluster_spec(
+        4, paths=3, arrival_centers_deg=v), (-30.0, 30.0),
+        ((-30.0, 30.0, 0.0), [30.0], np.zeros(3)), id="random_cluster_spec-arrival_centers_deg"),
     _finite("PathCluster", "departure_deg", lambda v: mimo.PathCluster(
         (0.0, v), (10.0, 12.0), (1.0, 0.5)), -5.0),
     _finite("PathCluster", "arrival_deg", lambda v: mimo.PathCluster(

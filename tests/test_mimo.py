@@ -297,9 +297,9 @@ def test_evaluate_mean_ordering_multiantenna():
     spec = random_cluster_spec(rx_antennas=2, seed=1)
     ev = evaluate(spec, METHODS, 0.0, "space", MonteCarloConfig(4000, 5))
     r = ev.results
-    assert r["interference_free"].mean_sinr >= r["all_sv_coh"].mean_sinr
+    assert r["interference_free"].sinr_mean.mean >= r["all_sv_coh"].sinr_mean.mean
     for sub in ("strongest_sv_inst", "all_sv_ncoh", "strongest_sv_av"):
-        assert r["all_sv_coh"].mean_sinr >= r[sub].mean_sinr
+        assert r["all_sv_coh"].sinr_mean.mean >= r[sub].sinr_mean.mean
 
 
 def test_evaluate_result_fields_and_per_slot():
@@ -308,11 +308,28 @@ def test_evaluate_result_fields_and_per_slot():
                   MonteCarloConfig(3000, 2), slots=6)
     res = ev.results["all_sv_ncoh"]
     assert res.sinr.shape == (3000,)
-    assert res.sinr_ci[0] <= res.mean_sinr <= res.sinr_ci[1]
+    lo, hi = res.sinr_mean.ci()
+    assert lo <= res.sinr_mean.mean <= hi
+    assert res.sinr_mean.trials == 3000
     aps = DEFAULT_ATTEMPTS_PER_SLOT["all_sv_ncoh"]
     expected = res.mean_per ** (aps * np.arange(1, 7))
     assert np.allclose(res.per_slot, expected, rtol=1e-12)
     assert np.all(np.diff(res.per_slot) <= 0.0)
+
+
+def test_evaluate_sinr_se_survives_squares_underflow():
+    # SINRs near 1e-300 have squares that underflow; summed in units of the
+    # user power, the relative SE matches that at -1500 dB
+    spec = random_cluster_spec(seed=1)
+    mc = MonteCarloConfig(20_000, 1)
+
+    def relative_se(rho_db):
+        ev = evaluate(spec, METHODS, rho_db, "space", mc)
+        return [r.sinr_mean.se / r.sinr_mean.mean for r in ev.results.values()]
+
+    ref = relative_se(-1500.0)
+    assert min(ref) > 1e-3
+    assert relative_se(-3000.0) == pytest.approx(ref, rel=1e-9)
 
 
 def test_evaluate_time_multiplexing_staircase():
@@ -331,8 +348,8 @@ def test_evaluate_time_multiplexing_uses_full_power():
     mc = MonteCarloConfig(2000, 11)
     space = evaluate(spec, ("all_sv_coh",), 10.0, "space", mc)
     time_ = evaluate(spec, ("all_sv_coh",), 10.0, "time", mc)
-    assert time_.results["all_sv_coh"].mean_sinr > \
-        space.results["all_sv_coh"].mean_sinr
+    assert time_.results["all_sv_coh"].sinr_mean.mean > \
+        space.results["all_sv_coh"].sinr_mean.mean
 
 
 def test_evaluate_interference_free_wins_at_high_power():
@@ -361,7 +378,7 @@ def test_evaluate_estimation_noise_perturbs_selection():
     c = clean.results["strongest_sv_inst"]
     n = noisy.results["strongest_sv_inst"]
     assert not np.array_equal(c.sinr, n.sinr)
-    assert n.mean_sinr <= c.mean_sinr
+    assert n.sinr_mean.mean <= c.sinr_mean.mean
 
 
 def test_evaluate_validation():

@@ -214,9 +214,10 @@ def test_rayleigh_scenario_validation():
 def test_throughput_ratio_result_fields():
     res = throughput_ratio(RayleighScenario(10.0), BackoffPolicy("ar", 0.01),
                            4, MonteCarloConfig(20_000, 5))
-    assert res.ci_low <= res.ratio <= res.ci_high
+    lo, hi = res.ratio.ci()
+    assert lo <= res.ratio.mean <= hi
     assert res.epsilon_n == ar_epsilon(4, 0.01)
-    assert res.trials == 20_000
+    assert res.ratio.trials == res.outage.trials == res.violation.trials == 20_000
     with pytest.raises(ValueError):
         throughput_ratio(RayleighScenario(10.0), BackoffPolicy("ar", 0.01),
                          0, MonteCarloConfig(10, 5))
@@ -226,7 +227,7 @@ def test_throughput_ratio_ar_outage_audit():
     # the averaged back-off makes the mean conditional outage equal the target
     res = throughput_ratio(RayleighScenario(10.0), BackoffPolicy("ar", 0.01),
                            5, MonteCarloConfig(200_000, 7))
-    assert abs(res.mean_outage - 0.01) <= 4.0 * res.mean_outage_se
+    assert abs(res.outage.mean - 0.01) <= 4.0 * res.outage.se
 
 
 def test_throughput_ratio_pcr_violation_audit():
@@ -234,8 +235,8 @@ def test_throughput_ratio_pcr_violation_audit():
     res = throughput_ratio(RayleighScenario(10.0),
                            BackoffPolicy("pcr", 0.01, xi),
                            5, MonteCarloConfig(200_000, 7))
-    sigma = math.sqrt(xi * (1.0 - xi) / res.trials)
-    assert abs(res.violation_fraction - xi) <= 4.0 * sigma
+    sigma = math.sqrt(xi * (1.0 - xi) / res.violation.trials)
+    assert abs(res.violation.mean - xi) <= 4.0 * sigma
 
 
 def test_throughput_ratio_pcr_pays_more_than_ar():
@@ -243,7 +244,7 @@ def test_throughput_ratio_pcr_pays_more_than_ar():
     sc = RayleighScenario(10.0)
     ar = throughput_ratio(sc, BackoffPolicy("ar", 1e-3), 5, mc)
     pcr = throughput_ratio(sc, BackoffPolicy("pcr", 1e-3, 1e-3), 5, mc)
-    assert pcr.ratio < ar.ratio
+    assert pcr.ratio.mean < ar.ratio.mean
 
 
 def test_throughput_ratio_deterministic_and_worker_invariant():
@@ -253,6 +254,25 @@ def test_throughput_ratio_deterministic_and_worker_invariant():
     a = throughput_ratio(sc, pol, 3, mc, workers=1)
     b = throughput_ratio(sc, pol, 3, mc, workers=4)
     assert a == b
+
+
+@pytest.mark.parametrize("kind", ["ar", "pcr"])
+def test_throughput_ratio_se_survives_squares_underflow(kind):
+    # the stream is keyed by n only, and below eps ~ 1e-100 every per-trial
+    # value is linear in eps, so the relative SEs do not move with eps; the
+    # squares of rates and outages near 1e-160 underflow, and summed as
+    # they are, the CI had zero width there
+    def relative_se(eps):
+        res = throughput_ratio(RayleighScenario(10.0),
+                               BackoffPolicy(kind, eps, 1e-3 if kind == "pcr" else None),
+                               100, MonteCarloConfig(100_000, 1))
+        assert res.ratio.trials == 100_000
+        return res.ratio.se / res.ratio.mean, res.outage.se / res.outage.mean
+
+    ref = relative_se(1e-100)
+    assert min(ref) > 1e-4
+    for eps in (1e-160, 1e-200, 1e-300):
+        assert relative_se(eps) == pytest.approx(ref, rel=1e-9)
 
 
 def _ratio_exact(theta, eps, eps_n, n):
@@ -280,12 +300,11 @@ def test_throughput_ratio_matches_closed_forms(kind, n):
     eps_n = res.epsilon_n
 
     mean_outage = ar_outage_sup(n, eps_n)
-    assert abs(res.mean_outage - mean_outage) <= 4.0 * res.mean_outage_se
+    assert abs(res.outage.mean - mean_outage) <= 4.0 * res.outage.se
 
     viol = gammaincc(n, n * math.log1p(-eps) / math.log1p(-eps_n))
     sigma = math.sqrt(viol * (1.0 - viol) / trials)
-    assert abs(res.violation_fraction - viol) <= 4.0 * sigma
+    assert abs(res.violation.mean - viol) <= 4.0 * sigma
 
     ratio = _ratio_exact(theta, eps, eps_n, n)
-    sigma = (res.ci_high - res.ci_low) / (2 * 1.96)
-    assert abs(res.ratio - ratio) <= 4.0 * sigma
+    assert abs(res.ratio.mean - ratio) <= 4.0 * res.ratio.se

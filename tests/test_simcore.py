@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from urllckit.simcore import (
     _BISECT_MAX_ITER,
+    Estimate,
     MonteCarloConfig,
     NoBracketError,
     SeededStream,
@@ -536,3 +538,75 @@ def test_collect_monte_carlo_rejects_wrong_leading_axis():
     with pytest.raises(ValueError):
         collect_monte_carlo(10, 4, SeededStream(0),
                             lambda rng, s, c: (np.zeros(c + 1),))
+
+
+# ---- Estimate ---------------------------------------------------------------
+
+def _estimate(x, unit=1.0):
+    return Estimate.from_sums(x.sum(), np.square(x / unit).sum(), x.size, unit)
+
+
+@pytest.mark.parametrize("cv", [1.0, 0.1, 1e-2, 1e-3])
+def test_estimate_mean_and_se_of_samples(cv):
+    # the mean is x.mean() bit for bit, in any unit; the SE is the population
+    # one.  The one-pass variance E[(x/u)^2] - (mean/u)^2 cancels about
+    # 1/cv^2 of its digits, so it holds to 1e-12 from cv = 0.1 and to
+    # 1e-14 / cv^2 below (3e-10 was the worst seen at cv = 1e-3)
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        k = int(rng.integers(2, 5000))
+        scale = 10.0 ** rng.uniform(-5.0, 5.0)
+        x = scale * (1.0 + cv * rng.standard_normal(k))
+        ref = np.std(x) / math.sqrt(k)
+        for unit in (1.0, scale, 3.7 * scale):
+            est = _estimate(x, unit)
+            assert est.mean == x.mean() and est.trials == k
+            assert abs(est.se - ref) <= 1e-14 * max(1.0, cv ** -2) * ref
+
+
+def test_estimate_one_trial_and_constant_samples_have_zero_se():
+    for x in (np.array([0.3]), np.array([1e-300]), np.full(1000, 0.1)):
+        assert _estimate(x, x[0]).se == 0.0
+
+
+def test_estimate_keeps_its_se_where_squares_underflow():
+    # every square of x underflows below about 1e-154; in units of x's scale
+    # the relative SE does not depend on that scale
+    x = np.random.default_rng(2).exponential(size=10_000)
+    ref = _estimate(x)
+    for scale in (1e-160, 1e-200, 1e-300):
+        assert _estimate(scale * x).se == 0.0
+        est = _estimate(scale * x, scale)
+        assert est.se / est.mean == pytest.approx(ref.se / ref.mean, rel=1e-12)
+
+
+def test_estimate_indicator_is_its_own_square():
+    # a fraction v / k: from_sums(v, v, k) gives sqrt(p (1 - p) / k)
+    est = Estimate.from_sums(30, 30, 1000)
+    assert est.mean == 0.03
+    assert est.se == pytest.approx(math.sqrt(0.03 * 0.97 / 1000), rel=1e-14)
+
+
+def test_estimate_ci_is_symmetric():
+    est = Estimate(2.5, 0.125, 100)
+    assert est.ci() == (2.5 - 1.96 * 0.125, 2.5 + 1.96 * 0.125)
+    lo, hi = est.ci(3.0)
+    assert (lo, hi) == (2.125, 2.875) and hi - est.mean == est.mean - lo
+
+
+def test_estimate_validation():
+    for trials in (0, 2.0, -1):
+        with pytest.raises(ValueError, match="trials must be"):
+            Estimate.from_sums(1.0, 1.0, trials)
+
+
+def test_mean_se_and_ci_arithmetic_lives_in_simcore_only():
+    # one home for Monte-Carlo intervals: no other module spells a z value,
+    # a ddof or a standard deviation of its own
+    src = Path(__file__).resolve().parents[1] / "src" / "urllckit"
+    for path in sorted(src.glob("*.py")):
+        if path.name == "simcore.py":
+            continue
+        hits = [line for line in path.read_text().splitlines()
+                if re.search(r"1\.96|ddof|\.std\(", line)]
+        assert hits == [], path.name
