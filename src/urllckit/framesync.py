@@ -235,7 +235,8 @@ def search_marker(n_bits: int, payload_bits: int, budget: int = 2048,
     small enough for that to be sane); otherwise seeded hill climbing on
     single-bit flips with random restarts.  The alternating word is always
     evaluated first, so the result is never worse than it.  Restarts draw
-    a word as a 64-bit integer, so the climb takes n_bits up to 64.  The
+    a word as a 64-bit integer, so above 64 bits the climb raises at its
+    first restart, after 2 * n_bits + 1 flips that did not improve.  The
     result is the winner's OccurrenceDistribution, the law the search
     scored it by; its marker is the winner.
     """
@@ -263,9 +264,6 @@ def search_marker(n_bits: int, payload_bits: int, budget: int = 2048,
         words = (_marker_from_int(value, n_bits) for value in range(2 ** n_bits))
         _, best = max(map(scored, words), key=lambda entry: entry[0])
     else:
-        if n_bits > 64:
-            raise ValueError(f"n_bits must be at most 64 for the climbing search, "
-                             f"got {n_bits}")
         rng = SeededStream(seed).derive(_SEARCH_TAG, n_bits, payload_bits).generator()
         current = Marker.alternating(n_bits)
         current_v, best = scored(current)
@@ -275,6 +273,9 @@ def search_marker(n_bits: int, payload_bits: int, budget: int = 2048,
             # restart: greedy flips stopped paying, take a fresh random word
             restart = stale > 2 * n_bits
             if restart:
+                if n_bits > 64:
+                    raise ValueError(f"n_bits must be at most 64 for a climb that "
+                                     f"restarts, got {n_bits}")
                 # uint64 reaches 2^64 and draws as int64 does below it
                 cand = _marker_from_int(
                     int(rng.integers(0, 2 ** n_bits, dtype=np.uint64)), n_bits)

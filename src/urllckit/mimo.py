@@ -68,6 +68,7 @@ spend half the training, so they fit two packets per slot.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -657,9 +658,12 @@ def evaluate(
         total_power = 10.0 ** (rho_db / 10.0)
     except OverflowError:
         total_power = math.inf
-    if not (math.isfinite(rho_db) and math.isfinite(total_power)):
-        raise ValueError(f"rho_db must be finite with a finite linear power, "
-                         f"got {rho_db!r}")
+    spatial = multiplexing == "space"
+    user_power = total_power / 2.0 if spatial else total_power
+    # a subnormal power keeps few bits, and 0 leaves the SINR nothing to scale
+    if not (math.isfinite(rho_db) and sys.float_info.min <= user_power < math.inf):
+        raise ValueError(f"rho_db must be finite with a finite, normal linear power "
+                         f"per user, got {rho_db!r}")
     payload_bits = check_count("payload_bits", payload_bits)
     slots = check_count("slots", slots)
     estimation_noise_std = check_real("estimation_noise_std", estimation_noise_std)
@@ -686,8 +690,6 @@ def evaluate(
     noise_scale = np.full(ctx.spans["strongest_sv_inst"].shape[1],
                           estimation_noise_std / math.sqrt(2.0))
 
-    spatial = multiplexing == "space"
-    user_power = total_power / 2.0 if spatial else total_power
     n_methods = len(methods)
     needs_inst_noise = estimation_noise_std > 0.0 and "strongest_sv_inst" in methods
 
@@ -733,8 +735,8 @@ def evaluate(
     slot_axis = np.arange(1, slots + 1)
     for col, method in enumerate(methods):
         s = sinr_all[:, col]
-        # squares in units of user_power, so they stay normal at any rho_db
-        sinr_mean = Estimate.from_sums(s.sum(), np.square(s / user_power).sum(), k,
+        # squares about user_power, in its unit, so they stay normal numbers
+        sinr_mean = Estimate.from_sums(s.sum(), Estimate.total_dev(s, user_power), k,
                                        unit=user_power)
         per = _per_attempt(s, payload_bits)
         mean_per = float(per.mean())

@@ -195,8 +195,9 @@ def throughput_ratio(scenario: RayleighScenario, policy: BackoffPolicy, n: int,
     correlated, and an unlucky seed moves them together.  At large n the
     estimate is nearly exact, so the ratio's spread comes from the trials
     in outage, about eps * trials of them (10 at eps = 1e-3 and 1e4
-    trials): the normal CI rests on that few events.  Squares are summed in
-    units of R_eps(theta) and of eps, so no SE underflows to 0 at small eps.
+    trials): the normal CI rests on that few events.  Squares are summed
+    about R_eps(theta) and eps, in those units, so no SE underflows to 0 at
+    small eps.
     """
     n = check_count("n", n)
     theta = scenario.theta
@@ -214,9 +215,9 @@ def throughput_ratio(scenario: RayleighScenario, policy: BackoffPolicy, n: int,
         cond_outage = -np.expm1(theta_hat / theta * log_backoff)
         return (
             delivered.sum(),
-            np.square(delivered / genie).sum(),
+            Estimate.total_dev(delivered, genie),
             cond_outage.sum(),
-            np.square(cond_outage / eps).sum(),
+            Estimate.total_dev(cond_outage, eps),
             (cond_outage > eps).sum(),
         )
 
@@ -224,11 +225,12 @@ def throughput_ratio(scenario: RayleighScenario, policy: BackoffPolicy, n: int,
                            block_fn, workers=workers)
     s1, s2, o1, o2, viol = sums
     k = mc.trials
-    delivered = Estimate.from_sums(s1, s2, k, unit=genie)
     denom = genie * (1.0 - eps)
     return ThroughputResult(
-        ratio=Estimate(delivered.mean / denom, delivered.se / denom, k),
+        # x / denom in units of genie / denom is x / genie: s2 serves as is
+        ratio=Estimate.from_sums(s1 / denom, s2, k, unit=genie / denom),
         outage=Estimate.from_sums(o1, o2, k, unit=eps),
-        violation=Estimate.from_sums(viol, viol, k),
+        # an indicator v has (v - 1)^2 = 1 - v
+        violation=Estimate.from_sums(viol, k - viol, k),
         epsilon_n=eps_n,
     )

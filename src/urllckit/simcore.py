@@ -59,6 +59,9 @@ _Q_LOG_SWITCH = 12.0
 # bisect's cap on halving steps, 2^-200 of the initial bracket
 _BISECT_MAX_ITER = 200
 
+# the normal quantile of Estimate.ci's two-sided 95% interval
+_Z95 = 1.96
+
 
 class NoBracketError(ValueError):
     """Raised when a root finder is handed an interval with no sign change."""
@@ -249,25 +252,40 @@ class Estimate:
     trials: int
 
     @classmethod
-    def from_sums(cls, total, total_sq, trials: int, unit: float = 1.0) -> "Estimate":
+    def from_sums(cls, total, total_dev, trials: int, unit: float = 1.0) -> "Estimate":
         """Estimate of the mean of trials samples x from total = sum(x) and
-        total_sq = sum((x / unit)^2).
+        total_dev = sum((x / unit - 1)^2), as Estimate.total_dev sums it.
 
-        unit is a scale the caller knows x to be of (a target probability, a
-        reference rate, a signal power), so the squares stay normal numbers
-        where those of x, below about 1e-154, underflow and would zero the
-        SE.  The SE is unit * sqrt(var / trials), var being the population
-        variance of x / unit, floored at 0 where rounding makes it negative.
+        unit is a positive scale the caller knows x to be of (a target
+        probability, a reference rate, a signal power).  In that unit the
+        squares stay normal numbers where those of x, below about 1e-154,
+        underflow and would zero the SE.  Centred on it, they cancel little
+        when unit is near the mean: the SE's relative error is about
+        3e-16 * (1 + d) * (s + d) / s^2, s being the standard deviation of
+        x / unit and d = |mean / unit - 1|, so about 1e-15 / s within two
+        standard deviations.  The SE is unit * sqrt(var / trials), var being
+        the population variance of x / unit, floored at 0 where rounding
+        makes it negative.
         """
         trials = check_count("trials", trials)
+        check_positive("unit", unit)
         mean = float(total) / trials
-        scaled = mean / unit
-        var = max(float(total_sq) / trials - scaled * scaled, 0.0)
+        shift = mean / unit - 1.0
+        var = max(float(total_dev) / trials - shift * shift, 0.0)
         return cls(mean, unit * math.sqrt(var / trials), trials)
 
-    def ci(self, z: float = 1.96) -> tuple:
-        """Normal confidence interval mean -/+ z * se (95% at the default z)."""
-        half = z * self.se
+    @staticmethod
+    def total_dev(x, unit: float = 1.0):
+        """sum((x / unit - 1)^2), the total_dev from_sums takes, through one
+        temporary array."""
+        dev = np.divide(x, unit)
+        dev -= 1.0
+        np.square(dev, out=dev)
+        return dev.sum()
+
+    def ci(self) -> tuple:
+        """Normal 95% confidence interval mean -/+ 1.96 * se."""
+        half = _Z95 * self.se
         return (self.mean - half, self.mean + half)
 
 

@@ -290,9 +290,12 @@ def test_search_marker_validation():
         search_marker(0, 8)
     with pytest.raises(ValueError):
         search_marker(4, 8, budget=0)
-    # restarts draw 64-bit words, so a longer climb is refused by name
+    # restarts draw 64-bit words, so a longer climb is refused by name at
+    # its first restart; one whose budget ends before any restart still runs
     with pytest.raises(ValueError, match=r"\bn_bits must be at most 64"):
         search_marker(65, 64, budget=400)
+    dist = search_marker(100, 256, budget=150)
+    assert len(dist.marker.bits) == 100
 
 
 def test_word_reversal_and_complement_laws_agree_to_rounding():

@@ -140,10 +140,12 @@ _ROWS = [
         _BUDGET, _PACKET, [300.0, v], "separate"), 300.0),
     _positive("success_probability", "n", lambda v: fbl.success_probability(
         _BUDGET, _PACKET, v), 300.0),
-    # True is neither 1 dB nor a noise level of 1.0
+    # True is neither 1 dB nor a noise level of 1.0; below about -3073 dB
+    # the power per user is subnormal, and below -3233 dB it is 0
     pytest.param("rho_db", lambda v: mimo.evaluate(
         _SPEC, ("all_sv_coh",), v, "space", MonteCarloConfig(10, 0)), 0.0,
-        (math.nan, math.inf, -math.inf, 4000.0, "5", None, True, np.True_),
+        (math.nan, math.inf, -math.inf, 4000.0, -3075.0, -4000.0, "5", None, True,
+         np.True_),
         id="evaluate-rho_db"),
     pytest.param("estimation_noise_std", lambda v: mimo.evaluate(
         _SPEC, ("strongest_sv_inst",), 0.0, "space", MonteCarloConfig(10, 0),

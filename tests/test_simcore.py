@@ -543,25 +543,30 @@ def test_collect_monte_carlo_rejects_wrong_leading_axis():
 # ---- Estimate ---------------------------------------------------------------
 
 def _estimate(x, unit=1.0):
-    return Estimate.from_sums(x.sum(), np.square(x / unit).sum(), x.size, unit)
+    return Estimate.from_sums(x.sum(), Estimate.total_dev(x, unit), x.size, unit)
 
 
 @pytest.mark.parametrize("cv", [1.0, 0.1, 1e-2, 1e-3])
 def test_estimate_mean_and_se_of_samples(cv):
     # the mean is x.mean() bit for bit, in any unit; the SE is the population
-    # one.  The one-pass variance E[(x/u)^2] - (mean/u)^2 cancels about
-    # 1/cv^2 of its digits, so it holds to 1e-12 from cv = 0.1 and to
-    # 1e-14 / cv^2 below (3e-10 was the worst seen at cv = 1e-3)
+    # one, to 1e-12 in a unit within two standard deviations of the mean.
+    # Far from it the centred squares cancel, as the docstring bounds
     rng = np.random.default_rng(5)
     for _ in range(50):
         k = int(rng.integers(2, 5000))
         scale = 10.0 ** rng.uniform(-5.0, 5.0)
         x = scale * (1.0 + cv * rng.standard_normal(k))
         ref = np.std(x) / math.sqrt(k)
-        for unit in (1.0, scale, 3.7 * scale):
+        for unit in (scale, scale * (1.0 + 2.0 * cv)):
+            assert Estimate.total_dev(x, unit) == np.square(x / unit - 1.0).sum()
             est = _estimate(x, unit)
             assert est.mean == x.mean() and est.trials == k
-            assert abs(est.se - ref) <= 1e-14 * max(1.0, cv ** -2) * ref
+            assert abs(est.se - ref) <= 1e-12 * ref
+        for unit in (1.0, 3.7 * scale):
+            est = _estimate(x, unit)
+            assert est.mean == x.mean()
+            s, d = np.std(x / unit), abs(x.mean() / unit - 1.0)
+            assert abs(est.se - ref) <= 1e-15 * (1.0 + d) * (s + d) / s ** 2 * ref
 
 
 def test_estimate_one_trial_and_constant_samples_have_zero_se():
@@ -575,29 +580,34 @@ def test_estimate_keeps_its_se_where_squares_underflow():
     x = np.random.default_rng(2).exponential(size=10_000)
     ref = _estimate(x)
     for scale in (1e-160, 1e-200, 1e-300):
-        assert _estimate(scale * x).se == 0.0
-        est = _estimate(scale * x, scale)
+        raw = scale * x
+        assert np.all(np.square(raw) < np.finfo(float).tiny)
+        est = _estimate(raw, scale)
         assert est.se / est.mean == pytest.approx(ref.se / ref.mean, rel=1e-12)
 
 
-def test_estimate_indicator_is_its_own_square():
-    # a fraction v / k: from_sums(v, v, k) gives sqrt(p (1 - p) / k)
-    est = Estimate.from_sums(30, 30, 1000)
+def test_estimate_of_an_indicator():
+    # a fraction v / k: an indicator has (v - 1)^2 = 1 - v, and the SE is
+    # sqrt(p (1 - p) / k)
+    est = Estimate.from_sums(30, 1000 - 30, 1000)
     assert est.mean == 0.03
     assert est.se == pytest.approx(math.sqrt(0.03 * 0.97 / 1000), rel=1e-14)
 
 
 def test_estimate_ci_is_symmetric():
     est = Estimate(2.5, 0.125, 100)
-    assert est.ci() == (2.5 - 1.96 * 0.125, 2.5 + 1.96 * 0.125)
-    lo, hi = est.ci(3.0)
-    assert (lo, hi) == (2.125, 2.875) and hi - est.mean == est.mean - lo
+    lo, hi = est.ci()
+    assert (lo, hi) == (2.5 - 1.96 * 0.125, 2.5 + 1.96 * 0.125)
+    assert hi - est.mean == est.mean - lo
 
 
 def test_estimate_validation():
     for trials in (0, 2.0, -1):
         with pytest.raises(ValueError, match="trials must be"):
             Estimate.from_sums(1.0, 1.0, trials)
+    for unit in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="unit must be"):
+            Estimate.from_sums(1.0, 1.0, 10, unit)
 
 
 def test_mean_se_and_ci_arithmetic_lives_in_simcore_only():
