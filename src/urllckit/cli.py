@@ -161,12 +161,16 @@ def _cmd_access(args, argv) -> int:
 def _cmd_framesync_sweep(args, argv) -> int:
     if args.nm_max < args.nm_min:
         raise _CliError("--nm-max must be >= --nm-min")
+    # longest first, so a length the search refuses fails before the rest
+    # run; each search draws its own stream, keyed by its length, so the
+    # order changes no result
+    dists = {nm: framesync.search_marker(nm, args.payload_bits, budget=args.budget,
+                                         seed=args.seed, count_cap=args.count_cap)
+             for nm in range(args.nm_max, args.nm_min - 1, -1)}
     rows = []
     marker_notes = []
     for nm in range(args.nm_min, args.nm_max + 1):
-        dist = framesync.search_marker(
-            nm, args.payload_bits, budget=args.budget, seed=args.seed,
-            count_cap=args.count_cap)
+        dist = dists[nm]
         marker_notes.append(f"N_m = {nm}: marker {dist.marker.as_string()}")
         for l in args.list_lengths:
             rows.append([nm, l, framesync.p_ub_list(dist, l)])
@@ -204,6 +208,11 @@ _MIMO_SCHEMA = {
 _SINR_PCTS = (5, 25, 50, 75, 95)
 
 
+def _db(v) -> float:
+    # 10*log10(v) of an SINR, -inf for a zero one
+    return 10.0 * math.log10(v) if v > 0 else -math.inf
+
+
 def _cmd_mimo(args, argv) -> int:
     raw = parse_kv_file(args.scenario)
     cfg = apply_schema(raw, _MIMO_SCHEMA, source=str(args.scenario))
@@ -235,9 +244,7 @@ def _cmd_mimo(args, argv) -> int:
         for slot_idx, per in enumerate(res.per_slot, start=1):
             per_rows.append([method, n_rx, slot_idx, float(per)])
         pct = np.percentile(res.sinr, _SINR_PCTS)
-        pct_db = [10.0 * math.log10(max(v, 1e-300)) for v in pct]
-        mean_db = 10.0 * math.log10(max(res.sinr_mean.mean, 1e-300))
-        sinr_rows.append([method, n_rx, *pct_db, mean_db])
+        sinr_rows.append([method, n_rx, *map(_db, pct), _db(res.sinr_mean.mean)])
     _write_csv(args.out, comments, ["method", "N", "slot", "PER"], per_rows)
     sinr_out = args.sinr_out
     if sinr_out is None:

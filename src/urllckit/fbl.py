@@ -13,7 +13,11 @@ SNRs is solved as one batch, and a single SNR is a batch of one.  Its
 bracket scan first bounds the packet error from below over blocks of the
 blocklength grid and skips the blocks whose bound rules out a hit, so it
 evaluates a few thousand points per solve, not tens of thousands; the
-bracket it finds equals that of a scan of every grid point.
+bracket it finds equals that of a scan of every grid point.  Each bracket
+is then refined by the same first-hit rule over the points bisection would
+visit, 15 midpoints per packet_error call, so three calls give bisection's
+1e-6-relative result bit for bit wherever the hits within the bracket all
+follow its misses.
 """
 
 from __future__ import annotations
@@ -23,8 +27,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .simcore import (bisect, check_count, check_nonnegative, check_positive,
+from .simcore import (check_count, check_nonnegative, check_positive,
                       check_probability, q_function, union_error)
+# not called here: bench/tracing.py patches fbl.bisect by name, and fails
+# if it is missing
+from .simcore import bisect  # noqa: F401
 
 __all__ = [
     "LOG2E",
@@ -58,6 +65,18 @@ _MISS_MARGIN = 1e-9
 # single SNR scans the rest of the grid at once, many SNRs take narrower
 # chunks
 _SCAN_TILE = _GRID.size
+# the refinement of a bracket [_GRID[k - 1], _GRID[k]] stops at a width of
+# _REFINE_TOL * _GRID[k - 1], after the fewest halvings that reach it; the
+# grid's relative step must not lie near a power of two times the tolerance,
+# or rounding could change that count from one bracket to the next
+_REFINE_TOL = 1e-6
+_HALVINGS = np.log2(np.diff(_GRID) / _GRID[:-1] / _REFINE_TOL)
+_REFINE_LEVELS = math.ceil(_HALVINGS.max())
+assert _REFINE_LEVELS - 1 + 1e-3 < _HALVINGS.min() and _HALVINGS.max() < _REFINE_LEVELS - 1e-3
+# the halvings are taken _ROUND_LEVELS at a time: one packet_error call per
+# round evaluates the 2^_ROUND_LEVELS - 1 interior points of the bracket
+_ROUND_LEVELS = 4
+assert _REFINE_LEVELS % _ROUND_LEVELS == 0
 _MODES = ("joint", "separate")
 
 
@@ -200,22 +219,26 @@ def min_bandwidth(budget: LinkBudget, pkt: PacketSpec, eps_target: float,
 
     Returns math.inf when infeasible: past the analytic ceiling (with a 2%
     guard band) or when no blocklength up to 2^22 meets the target.  The
-    bracket comes from a geometric scan over n, refined by bisection to
-    ~1e-6 relative.  The scan skips the 64-point blocks of its grid whose
-    lower bound on the packet error (_error_floor) exceeds eps_target, and
-    an SNR with no other block is infeasible without a scan; the skipped
-    points cannot meet the target, so the bracket, and the bandwidth,
-    equal those of a scan of every point.  The result is the bracket's
-    upper end, so the packet error at the returned bandwidth itself is at
-    most eps_target.  Errors
-    are compared with eps_target directly, so targets below the
-    double-precision spacing of 1 (1e-17, 1e-20) stay distinct.
+    bracket is the first point of a geometric scan over n that meets the
+    target and the point before it.  The scan skips the 64-point blocks of
+    its grid whose lower bound on the packet error (_error_floor) exceeds
+    eps_target, and an SNR with no other block is infeasible without a
+    scan; the skipped points cannot meet the target, so the bracket, and
+    the bandwidth, equal those of a scan of every point.  The bracket is
+    refined to ~1e-6 relative by the same first-hit rule over the midpoints
+    bisection would visit (_refine): the result is the first of them that
+    meets the target, so the packet error at the returned bandwidth itself
+    is at most eps_target.  Wherever the points that meet the target all
+    follow those that miss it within the bracket, as in every case seen,
+    this is simcore.bisect's result bit for bit.  Errors are compared with
+    eps_target directly, so targets below the double-precision spacing of
+    1 (1e-17, 1e-20) stay distinct.
 
     All SNRs of budget.gamma0 are solved as one batch: they are scanned
-    together in (SNR x blocklength) tiles, and all brackets are refined by
-    a single elementwise bisect call, so each element equals the solve at
-    that SNR alone.  An array gamma0 returns an array of its shape; a
-    scalar gamma0 is a batch of one and returns a float.
+    together in (SNR x blocklength) tiles, and all brackets are refined
+    together, three packet_error calls in all, so each element equals the
+    solve at that SNR alone.  An array gamma0 returns an array of its
+    shape; a scalar gamma0 is a batch of one and returns a float.
     """
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
@@ -237,11 +260,8 @@ def min_bandwidth(budget: LinkBudget, pkt: PacketSpec, eps_target: float,
     n_star[rows[first == 0]] = _GRID[0]
     inner = first > 0
     if inner.any():
-        lo, hi, g_inner = _GRID[first[inner] - 1], _GRID[first[inner]], g[inner]
-        n_star[rows[inner]] = bisect(
-            lambda n: _packet_error(g_inner, budget, pkt, n, mode) - eps_target,
-            lo, hi, tol=1e-6 * lo,
-        )
+        n_star[rows[inner]] = _refine(g[inner], budget, pkt, eps_target, mode,
+                                      _GRID[first[inner] - 1], _GRID[first[inner]])
     b_hz = n_star / (2.0 * budget.latency_s)
     return float(b_hz[0]) if gamma0.ndim == 0 else b_hz.reshape(gamma0.shape)
 
@@ -268,13 +288,46 @@ def _first_hits(gamma0, budget, pkt, eps_target, mode):
         # a row at the grid's end repeats its last column; argmax keeps the first
         cols = np.minimum(start[:, None] + np.arange(width), _GRID.size - 1)
         hit = _packet_error(gamma0[searching, None], budget, pkt, _GRID[cols], mode) <= eps_target
-        found = hit.any(axis=1)
-        first[searching[found]] = cols[found, hit[found].argmax(axis=1)]
+        at = _first_hit(hit)
+        found = at < width
+        first[searching[found]] = cols[found, at[found]]
         start = start[~found] + width
         searching = searching[~found]
         more = start < _GRID.size
         searching, start = searching[more], start[more]
     return first
+
+
+def _first_hit(hit):
+    # column of each row's first True, or the row length where it has none
+    return np.where(hit.any(axis=1), hit.argmax(axis=1), hit.shape[1])
+
+
+def _refine(gamma0, budget, pkt, eps_target, mode, lo, hi):
+    """Per reference SNR, the first point of its bracket's subgrid meeting eps_target.
+
+    The subgrid is that of bisection: every midpoint 0.5*(lo + hi) down to
+    _REFINE_LEVELS halvings of [lo, hi], whose upper end hi meets the target
+    and lower end lo does not.  Each round splits the current bracket
+    _ROUND_LEVELS levels deep by those recursive midpoints, so its points
+    are the very floats bisection would visit, evaluates the interior ones
+    in one packet_error call, and keeps the first hit and the point before
+    it (hi where none hits).  Where the hits within a bracket all follow its
+    misses, this is simcore.bisect's result on (packet_error - eps_target,
+    lo, hi, tol=_REFINE_TOL * lo) bit for bit: an exact zero, which bisect
+    returns at once, is then the first hit of the subgrid.
+    """
+    rows = np.arange(lo.size)
+    pts = np.empty((lo.size, 2 ** _ROUND_LEVELS + 1))
+    for _ in range(_REFINE_LEVELS // _ROUND_LEVELS):
+        pts[:, 0], pts[:, -1] = lo, hi
+        for level in range(_ROUND_LEVELS - 1, -1, -1):
+            step = 2 ** level
+            pts[:, step::2 * step] = 0.5 * (pts[:, :-step:2 * step] + pts[:, 2 * step::2 * step])
+        hit = _packet_error(gamma0[:, None], budget, pkt, pts[:, 1:-1], mode) <= eps_target
+        above = _first_hit(hit) + 1
+        lo, hi = pts[rows, above - 1], pts[rows, above]
+    return hi
 
 
 def _error_floor(gamma0, budget, pkt, n, mode):

@@ -19,7 +19,7 @@ _ROOT = Path(__file__).resolve().parents[1]
 _BENCH = _ROOT / "bench"
 _MODULES = (access, cli, fbl, framesync, mimo, multiconn, ratesel)
 # imported but not read: the tracer patches these module attributes by name
-_TRACER_ONLY = {"ratesel": {"bisect", "reg_lower_gamma"}}
+_TRACER_ONLY = {"fbl": {"bisect"}, "ratesel": {"bisect", "reg_lower_gamma"}}
 
 
 def test_tracer_install_patches_and_uninstall_restores(monkeypatch):

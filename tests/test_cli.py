@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from urllckit import access
+from urllckit import access, framesync
 from urllckit.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, run
 
 
@@ -220,6 +220,43 @@ def test_framesync_sweep_range_check(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_framesync_sweep_refuses_a_long_marker_after_one_search(tmp_path, capsys,
+                                                              monkeypatch):
+    # the searches run longest first, so the 65-bit climb, which the
+    # search refuses, fails before the 25 shorter ones run
+    lengths = []
+    search = framesync.search_marker
+
+    def counted(n_bits, *args, **kwargs):
+        lengths.append(n_bits)
+        return search(n_bits, *args, **kwargs)
+
+    monkeypatch.setattr(framesync, "search_marker", counted)
+    out = tmp_path / "fs.csv"
+    assert run(["framesync", "sweep", "--out", str(out),
+                "--nm-min", "40", "--nm-max", "65"]) == EXIT_USAGE
+    assert lengths == [65] and not out.exists()
+    assert "at most 64" in capsys.readouterr().err
+
+
+def test_framesync_sweep_rows_do_not_depend_on_the_search_order(tmp_path, csv_body):
+    # each length's search draws its own stream, so a 23-24 sweep is the
+    # 23 sweep followed by the 24 sweep, rows and markers alike
+    paths = {}
+    for lo, hi in ((23, 24), (23, 23), (24, 24)):
+        paths[lo, hi] = tmp_path / f"fs{lo}_{hi}.csv"
+        assert run(["framesync", "sweep", "--out", str(paths[lo, hi]),
+                    "--nm-min", str(lo), "--nm-max", str(hi)]) == EXIT_OK
+    both = csv_body(paths[23, 24]).splitlines()
+    one, two = (csv_body(paths[k]).splitlines() for k in ((23, 23), (24, 24)))
+    assert both == one + two[1:]
+
+    def markers(path):
+        return [ln for ln in path.read_text().splitlines() if ln.startswith("# N_m")]
+
+    assert markers(paths[23, 24]) == markers(paths[23, 23]) + markers(paths[24, 24])
+
+
 def test_multiconn_sweep_default(tmp_path, csv_body):
     out = tmp_path / "mc.csv"
     assert run(["multiconn", "sweep", "--out", str(out)]) == EXIT_OK
@@ -366,3 +403,22 @@ def test_mimo_worker_invariant_body(tmp_path, csv_body):
          "--trials", "5000", "--workers", "3"])
     assert csv_body(a) == csv_body(b)
     assert csv_body(tmp_path / "a_sinr.csv") == csv_body(tmp_path / "b_sinr.csv")
+
+
+def test_mimo_sinr_in_db_below_the_smallest_normal_float(tmp_path, csv_body):
+    # at -3000 dB the SINRs lie near 1e-300 and below; each must print its
+    # own dB value, 30 dB below the same row at -2970 dB, not a clamp
+    sinr = {}
+    for rho_db in (-3000, -2970):
+        scn = tmp_path / f"rich4_{rho_db}.txt"
+        scn.write_text("rx_antennas = 4\npaths = 4\nspread_deg = 1.0\n"
+                       f"arrival_spread_deg = 120.0\nspan_db = 3.0\nrho_db = {rho_db}\n")
+        out = tmp_path / f"m{rho_db}.csv"
+        assert run(["mimo", "--scenario", str(scn), "--out", str(out),
+                    "--trials", "2000"]) == EXIT_OK
+        sinr[rho_db] = rows_of(csv_body(tmp_path / f"m{rho_db}_sinr.csv"))
+    assert len(sinr[-3000]) == 5
+    for low, high in zip(sinr[-3000], sinr[-2970]):
+        assert low[:2] == high[:2]
+        for a, b in zip(low[2:], high[2:]):
+            assert float(a) == pytest.approx(float(b) - 30.0, abs=0.01)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from urllckit import fbl
+from urllckit import fbl, simcore
 from urllckit.fbl import (
     LOG2E,
     LinkBudget,
@@ -21,7 +21,7 @@ from urllckit.fbl import (
     packet_error,
     success_probability,
 )
-from urllckit.simcore import union_error
+from urllckit.simcore import bisect, union_error
 
 # reference values computed with mpmath at 40 decimal digits
 _CV_REFERENCE = [
@@ -404,3 +404,98 @@ def test_bracket_scan_work_per_solve(monkeypatch):
                 solves += 1
     assert solves == 30
     assert sum(elements) / solves < 8000
+
+
+def _bisection_subgrid(lo, hi, levels):
+    # every point bisection can visit in `levels` halvings of each [lo, hi],
+    # in order, built by the same recursive midpoints 0.5*(lo + hi)
+    pts = np.empty((lo.size, 2 ** levels + 1))
+    pts[:, 0], pts[:, -1] = lo, hi
+    for level in range(levels - 1, -1, -1):
+        step = 2 ** level
+        pts[:, step::2 * step] = 0.5 * (pts[:, :-step:2 * step] + pts[:, 2 * step::2 * step])
+    return pts
+
+
+@given(
+    g_db=st.lists(st.floats(-30.0, 70.0), min_size=1, max_size=8),
+    b0=st.floats(1e3, 1e7),
+    latency=st.floats(1e-5, 1e-1),
+    bits=st.tuples(st.integers(0, 4000), st.integers(0, 4000)).filter(any),
+    eps=st.one_of(st.floats(-30.0, math.log10(0.999)).map(lambda k: 10.0 ** k),
+                  st.floats(0.5, 0.999)),
+    mode=st.sampled_from(["joint", "separate"]),
+)
+def test_refine_equals_bisect_on_the_coarse_bracket(g_db, b0, latency, bits, eps, mode):
+    # the first-hit scan over bisection's own midpoints must return the
+    # point bisection to a width of 1e-6 * lo returns, bit for bit
+    gamma0 = 10.0 ** (np.array(g_db) / 10.0)
+    budget, pkt = LinkBudget(gamma0, b0, latency), PacketSpec(*bits)
+    first = fbl._first_hits(gamma0, budget, pkt, eps, mode)
+    inner = first > 0
+    g, lo, hi = gamma0[inner], fbl._GRID[first[inner] - 1], fbl._GRID[first[inner]]
+    if not g.size:
+        return
+    inner_budget = LinkBudget(g, b0, latency)
+    expected = bisect(lambda n: packet_error(inner_budget, pkt, n, mode) - eps,
+                      lo, hi, tol=1e-6 * lo)
+    got = fbl._refine(g, budget, pkt, eps, mode, lo, hi)
+    assert got.tolist() == expected.tolist()
+
+
+def _benchmark_solves():
+    # the 30 fbl solves of the calc-sweeps benchmark: the default 20-point
+    # 5-40 dB grid, three packets, five targets, both modes
+    budget = LinkBudget(10.0 ** (np.linspace(5.0, 40.0, 20) / 10.0), 1e5, 1e-3)
+    for eps in (1e-5, 1e-7, 1e-9, 1e-12, 1e-17):
+        for data, meta in ((16, 16), (32, 8), (4, 4)):
+            for mode in ("joint", "separate"):
+                yield budget, PacketSpec.from_bytes(data, meta), eps, mode
+
+
+def test_hits_follow_misses_within_the_benchmark_brackets():
+    # where they do, the refinement equals bisection: check it over every
+    # point bisection could visit in each bracket of the benchmark's solves
+    brackets = 0
+    for budget, pkt, eps, mode in _benchmark_solves():
+        first = fbl._first_hits(budget.gamma0, budget, pkt, eps, mode)
+        inner = first > 0
+        pts = _bisection_subgrid(fbl._GRID[first[inner] - 1], fbl._GRID[first[inner]],
+                                 fbl._REFINE_LEVELS)
+        g = budget.gamma0[inner]
+        hit = packet_error(LinkBudget(g[:, None], 1e5, 1e-3), pkt, pts, mode) <= eps
+        assert not hit[:, 0].any() and hit[:, -1].all()
+        # once a row hits, it keeps hitting
+        assert np.array_equal(hit, np.maximum.accumulate(hit, axis=1))
+        brackets += g.size
+    assert brackets > 400
+
+
+def test_refinement_takes_three_kernel_calls_and_no_bisect(monkeypatch):
+    calls = {"all": 0, "scan": 0}
+    kernel, scan = fbl._packet_error, fbl._first_hits
+
+    def counted_kernel(*args):
+        calls["all"] += 1
+        return kernel(*args)
+
+    def counted_scan(*args):
+        out = scan(*args)
+        calls["scan"] = calls["all"]
+        return out
+
+    def no_bisect(*args, **kwargs):
+        raise AssertionError("bisect called")
+
+    monkeypatch.setattr(fbl, "_packet_error", counted_kernel)
+    monkeypatch.setattr(fbl, "_first_hits", counted_scan)
+    monkeypatch.setattr(fbl, "bisect", no_bisect)
+    monkeypatch.setattr(simcore, "bisect", no_bisect)
+    assert fbl._REFINE_LEVELS // fbl._ROUND_LEVELS == 3
+    for budget, pkt, eps, mode in _benchmark_solves():
+        calls["all"] = calls["scan"] = 0
+        b = min_bandwidth(budget, pkt, eps, mode)
+        assert calls["scan"] > 0
+        refine_calls = calls["all"] - calls["scan"]
+        refined = np.isfinite(b) & (b > fbl._GRID[0] / (2.0 * budget.latency_s))
+        assert refine_calls == (3 if refined.any() else 0)
