@@ -10,14 +10,18 @@ data and metadata bits, encoded jointly or separately.  The solver works on
 the packet error itself (packet_error <= eps), never on 1 - eps, so targets
 far below 1e-16 are met as stated.  It has one path: an array of reference
 SNRs is solved as one batch, and a single SNR is a batch of one.  Its
-bracket scan first bounds the packet error from below over blocks of the
-blocklength grid and skips the blocks whose bound rules out a hit, so it
-evaluates a few thousand points per solve, not tens of thousands; the
-bracket it finds equals that of a scan of every grid point.  Each bracket
-is then refined by the same first-hit rule over the points bisection would
-visit, 15 midpoints per packet_error call, so three calls give bisection's
-1e-6-relative result bit for bit wherever the hits within the bracket all
-follow its misses.
+bracket scan bounds the packet error from below on two levels: over the
+64-point blocks of the blocklength grid, then over the 8-point sub-blocks
+of each SNR's first block that may hold a hit and the block after it.  It
+skips every point whose bound exceeds the target and scans the rest in
+rounds of 16, 32, 64, ... points per SNR until each SNR has its first
+hit, so a 20-SNR solve evaluates about 3,000 points, not tens of
+thousands.  A skipped point cannot meet the target, so the bracket equals
+that of a scan of every grid point.  Each bracket is then refined by the
+same first-hit rule over the points bisection would visit, 15 midpoints
+per packet_error call, so three calls give bisection's 1e-6-relative
+result bit for bit wherever the hits within the bracket all follow its
+misses.
 """
 
 from __future__ import annotations
@@ -56,14 +60,21 @@ _GRID = np.geomspace(2.0, float(_N_MAX), 4096)
 # the grid's blocks of 64 columns, bounded before any column is scanned:
 # block k runs from column _EDGES[k] to column _EDGES[k + 1], so neighbours
 # share their edge column and the bounds need the 65 edge columns only
-_EDGES = np.append(np.arange(0, _GRID.size, 64), _GRID.size - 1)
+_BLOCK = 64
+_EDGES = np.append(np.arange(0, _GRID.size, _BLOCK), _GRID.size - 1)
+# the second floor level: the 8-column sub-blocks of an SNR's first open
+# block and the block after it, as offsets of their 17 edge columns from
+# the first open block's start
+_SUB_EDGES = np.arange(0, 2 * _BLOCK + 1, 8)
 # relative margin by which a block's error floor must exceed eps_target
 # before the scan skips the block, so rounding in the floor skips no hit
 _MISS_MARGIN = 1e-9
-# (SNR, blocklength) elements per packet_error call of the bracket scan,
-# which skips each SNR's leading blocks whose floor rules out a hit: a
-# single SNR scans the rest of the grid at once, many SNRs take narrower
-# chunks
+# columns per SNR in the first round of the bracket scan; each later round
+# takes twice as many, so a hit past the bounded span still takes few rounds
+_FIRST_WIDTH = 16
+# (SNR, blocklength) elements per packet_error call beyond which the rounds
+# stop doubling, so many SNRs far from a hit hold no large array; a round
+# still takes _FIRST_WIDTH columns per SNR
 _SCAN_TILE = _GRID.size
 # the refinement of a bracket [_GRID[k - 1], _GRID[k]] stops at a width of
 # _REFINE_TOL * _GRID[k - 1], after the fewest halvings that reach it; the
@@ -128,7 +139,8 @@ def awgn_params(gamma):
     """Capacity C and dispersion V per real channel use at SNR gamma.
 
     C(gamma) = 0.5*log2(1+gamma), V(gamma) = gamma*(gamma+2)/(2*(gamma+1)^2)
-    in squared bits.  V grows from 0 toward log2(e)^2 / 2.
+    in squared bits.  V grows from 0 toward log2(e)^2 / 2, which it equals
+    in double precision from gamma = 1e150 on.
     """
     check_nonnegative("gamma", gamma)
     c, v = _awgn(np.asarray(gamma, dtype=float))
@@ -138,8 +150,11 @@ def awgn_params(gamma):
 
 
 def _awgn(g):
-    # awgn_params of a float array, unchecked, for the solver's inner loops
-    return 0.5 * np.log2(1.0 + g), g * (g + 2.0) / (2.0 * (g + 1.0) ** 2) * LOG2E ** 2
+    # awgn_params of a float array, unchecked, for the solver's inner loops.
+    # V is taken at min(g, 1e150): there it already equals its limit bit for
+    # bit, and above about 1e154 (g + 1)^2 would overflow to a V of 0 or NaN
+    gv = np.minimum(g, 1e150)
+    return 0.5 * np.log2(1.0 + g), gv * (gv + 2.0) / (2.0 * (gv + 1.0) ** 2) * LOG2E ** 2
 
 
 def error_prob(n, gamma, bits):
@@ -164,10 +179,14 @@ def _normal_terms(n, gamma, bits):
 
 
 def _normal_arg(num, nv):
-    # num / sqrt(nv), or the sign's hard threshold where nv is zero
+    # num / sqrt(nv), or the sign's hard threshold where nv is not positive
+    # (zero or NaN); the threshold is formed only where some nv needs it
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(nv > 0, num / np.sqrt(np.where(nv > 0, nv, 1.0)),
-                        np.where(num > 0, np.inf, np.where(num < 0, -np.inf, 0.0)))
+        arg = num / np.sqrt(nv)
+    flat = ~(nv > 0)
+    if flat.any():
+        arg = np.where(flat, np.where(num > 0, np.inf, np.where(num < 0, -np.inf, 0.0)), arg)
+    return arg
 
 
 def asymptotic_bits(budget: LinkBudget) -> float:
@@ -223,8 +242,10 @@ def min_bandwidth(budget: LinkBudget, pkt: PacketSpec, eps_target: float,
     target and the point before it.  The scan skips the 64-point blocks of
     its grid whose lower bound on the packet error (_error_floor) exceeds
     eps_target, and an SNR with no other block is infeasible without a
-    scan; the skipped points cannot meet the target, so the bracket, and
-    the bandwidth, equal those of a scan of every point.  The bracket is
+    scan; the same bound over 8-point sub-blocks then skips the leading
+    points of its first open block and the next (_first_hits).  The
+    skipped points cannot meet the target, so the bracket, and the
+    bandwidth, equal those of a scan of every point.  The bracket is
     refined to ~1e-6 relative by the same first-hit rule over the midpoints
     bisection would visit (_refine): the result is the first of them that
     meets the target, so the packet error at the returned bandwidth itself
@@ -235,7 +256,7 @@ def min_bandwidth(budget: LinkBudget, pkt: PacketSpec, eps_target: float,
     1 (1e-17, 1e-20) stay distinct.
 
     All SNRs of budget.gamma0 are solved as one batch: they are scanned
-    together in (SNR x blocklength) tiles, and all brackets are refined
+    together in (SNR x blocklength) rounds, and all brackets are refined
     together, three packet_error calls in all, so each element equals the
     solve at that SNR alone.  An array gamma0 returns an array of its
     shape; a scalar gamma0 is a batch of one and returns a float.
@@ -269,33 +290,53 @@ def min_bandwidth(budget: LinkBudget, pkt: PacketSpec, eps_target: float,
 def _first_hits(gamma0, budget, pkt, eps_target, mode):
     """Per reference SNR, the first _GRID index where packet_error <= eps_target.
 
-    -1 where no grid point meets the target.  Each SNR starts at its first
-    block whose _error_floor does not rule out a hit, and an SNR with no
-    such block is -1 without a scan; the skipped columns hold no hit, so
-    the result equals a scan of every column.  From there the grid is
-    scanned in column chunks over the SNRs still without a hit, so the
-    scan stops once every SNR has its first hit.  A chunk holds at most
-    _SCAN_TILE elements, or one column when more SNRs than that are still
-    searching.
+    -1 where no grid point meets the target.  The columns a first hit can
+    occupy are found on two floor levels: _error_floor over the 64-column
+    blocks of the grid gives each SNR's first open block (one whose floor
+    does not rule out a hit), and an SNR with none is -1 without a scan;
+    the same bound over the 8-column sub-blocks of that block and the next
+    one moves its start to the first open sub-block, or past the two blocks
+    if none is open.  Every skipped column lies in a block or sub-block
+    whose floor exceeds eps_target, so it holds no hit, and the result
+    equals a scan of every column.  From its start each SNR still without a
+    hit is scanned in rounds of _FIRST_WIDTH columns, twice as many each
+    round, so the scan stops once every SNR has its first hit; a round
+    holds at most _SCAN_TILE elements unless _FIRST_WIDTH columns per SNR
+    take more.  The sub-block bound is _error_floor on finer edges, so it
+    divides by the variance at each sub-block's first column, which keeps
+    it a bound where the error falls and rises again within a sub-block.
     """
-    floor = _error_floor(gamma0[:, None], budget, pkt, _GRID[_EDGES], mode)
-    open_ = floor <= eps_target * (1.0 + _MISS_MARGIN)
+    first = np.full(gamma0.size, -1)
+    open_ = _open_blocks(gamma0[:, None], budget, pkt, eps_target, _GRID[_EDGES], mode)
     searching = np.flatnonzero(open_.any(axis=1))
     start = _EDGES[open_[searching].argmax(axis=1)]
-    first = np.full(gamma0.size, -1)
-    while searching.size:
-        width = min(max(1, _SCAN_TILE // searching.size), _GRID.size - start.min())
-        # a row at the grid's end repeats its last column; argmax keeps the first
-        cols = np.minimum(start[:, None] + np.arange(width), _GRID.size - 1)
-        hit = _packet_error(gamma0[searching, None], budget, pkt, _GRID[cols], mode) <= eps_target
-        at = _first_hit(hit)
-        found = at < width
-        first[searching[found]] = cols[found, at[found]]
-        start = start[~found] + width
-        searching = searching[~found]
+    edges = start[:, None] + _SUB_EDGES
+    # edges past the grid's end repeat its last column
+    open_ = _open_blocks(gamma0[searching, None], budget, pkt, eps_target,
+                         _GRID[np.minimum(edges, _GRID.size - 1)], mode)
+    # the first open sub-block's start, or past the span where none is open
+    start = edges[np.arange(searching.size), _first_hit(open_)]
+    width = _FIRST_WIDTH
+    while True:
         more = start < _GRID.size
         searching, start = searching[more], start[more]
-    return first
+        if not searching.size:
+            return first
+        w = min(width, max(_FIRST_WIDTH, _SCAN_TILE // searching.size),
+                _GRID.size - start.min())
+        # a row at the grid's end repeats its last column; argmax keeps the first
+        cols = np.minimum(start[:, None] + np.arange(w), _GRID.size - 1)
+        hit = _packet_error(gamma0[searching, None], budget, pkt, _GRID[cols], mode) <= eps_target
+        at = _first_hit(hit)
+        found = at < w
+        first[searching[found]] = cols[found, at[found]]
+        searching, start = searching[~found], start[~found] + w
+        width *= 2
+
+
+def _open_blocks(gamma0, budget, pkt, eps_target, n, mode):
+    # blocks [n[k], n[k + 1]] whose error floor does not rule out a hit
+    return _error_floor(gamma0, budget, pkt, n, mode) <= eps_target * (1.0 + _MISS_MARGIN)
 
 
 def _first_hit(hit):

@@ -60,9 +60,15 @@ SINR reads terminal 1's gains; they hold the noise's place in the stream,
 so they are drawn only where the noise follows them.
 
 Receivers: methods transmitting across all eigenvectors use a matched
-filter on the aggregate effective channel; the strongest-vector methods
-project on the dominant receive eigenvector.  Methods without full CSI
-spend half the training, so they fit two packets per slot.
+filter on the aggregate effective channel, which collects sigma_max^2 of
+g = H @ span, so evaluate takes that from _top_singular for all three
+(||g||^2 for all_sv_ncoh's one-column span).  The strongest-vector
+methods project on the dominant receive eigenvector u_max, so evaluate
+picks a column of g (strongest_sv_inst the one with the largest
+|u_max^H g| after estimation noise, strongest_sv_av its only one) and
+takes the power of u_max^H on it.  Neither path forms weights or an
+effective channel.  Methods without full CSI spend half the training, so
+they fit two packets per slot.
 """
 
 from __future__ import annotations
@@ -552,11 +558,18 @@ def _coefficients(method: str, ctx: _PrecoderContext, g: np.ndarray,
         # dominant right singular vector (under a tie, any of the tied space)
         return np.linalg.eigh(g.conj().swapaxes(1, 2) @ g)[1][:, :, -1]
     if method == "strongest_sv_inst":
-        c = np.einsum("i,kid->kd", ctx.u_max.conj(), g)
-        if est_noise is not None:
-            c = c + est_noise
-        return np.eye(g.shape[2])[np.argmax(np.abs(c), axis=1)]
+        return np.eye(g.shape[2])[_strongest_column(ctx, g, est_noise)]
     return np.ones((g.shape[0], 1))
+
+
+def _strongest_column(ctx: _PrecoderContext, g: np.ndarray,
+                      est_noise: Optional[np.ndarray]) -> np.ndarray:
+    """strongest_sv_inst's pick per row: the span column of g = h @ span
+    with the largest |u_max^H g|, after the estimation noise if any."""
+    c = np.einsum("i,kid->kd", ctx.u_max.conj(), g)
+    if est_noise is not None:
+        c = c + est_noise
+    return np.argmax(np.abs(c), axis=1)
 
 
 def _batched_precoders(method: str, ctx: _PrecoderContext, h: np.ndarray) -> np.ndarray:
@@ -713,15 +726,20 @@ def evaluate(
             for col, method in enumerate(methods):
                 g1 = g_all[:, edges[col]:edges[col + 1]].reshape(
                     g_all.shape[0], n_rx, -1)
-                if method in _COHERENT:
-                    # the matched filter on the dominant pair collects sigma_max^2
+                if method in _MATCHED_RX:
+                    # the matched filter collects sigma_max^2 of g1: on the
+                    # dominant pair when coherent, ||g1||^2 for one column
                     sig = _top_singular(g1)
                 else:
-                    c1 = _coefficients(method, ctx, g1, est_rows)
-                    heff = np.einsum("kid,kd->ki", g1, c1)
-                    r = (heff / np.linalg.norm(heff, axis=1, keepdims=True)
-                         if method in _MATCHED_RX else ctx.u_max)
-                    sig = np.abs(np.sum(r.conj() * heff, axis=1)) ** 2
+                    # u_max's projection of the picked span column (the
+                    # strongest estimated one, or strongest_sv_av's only one)
+                    pick = (_strongest_column(ctx, g1, est_rows)
+                            if method == "strongest_sv_inst" else 0)
+                    # the picked columns copied into contiguous rows: np.sum
+                    # adds a contiguous axis in pairs and a strided one in
+                    # sequence, so the order would otherwise depend on d
+                    h = g1[np.arange(g1.shape[0]), :, pick]
+                    sig = np.abs(np.sum(ctx.u_max.conj() * h, axis=1)) ** 2
                 # the zero-forcing cross term H_0 @ span_1 is zero by
                 # construction, so no SINR carries an interference term
                 sinr[rows, col] = user_power * sig

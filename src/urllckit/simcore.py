@@ -75,10 +75,10 @@ def q_function(x):
     (subnormal if need be) instead of underflowing to zero prematurely.
     """
     x = np.asarray(x, dtype=float)
-    out = special.ndtr(-x)
+    out = np.asarray(special.ndtr(-x))
     deep = x >= _Q_LOG_SWITCH
     if deep.any():
-        out = np.where(deep, np.exp(special.log_ndtr(-x)), out)
+        out[deep] = np.exp(special.log_ndtr(-x[deep]))
     if out.ndim == 0:
         return float(out)
     return out

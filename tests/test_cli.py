@@ -109,6 +109,17 @@ def test_fbl_sweep_overflowing_budget_writes_nothing(tmp_path, capsys, recwarn,
     assert not recwarn.list
 
 
+def test_fbl_sweep_at_3000_db_warns_nothing(tmp_path, capsys, recwarn, csv_body):
+    # a reference SNR of 1e300 is a valid budget; the dispersion at its
+    # per-use SNRs must not overflow on the way to the smallest bandwidth
+    out = tmp_path / "fbl.csv"
+    assert run(["fbl", "sweep", "--gamma0-db-min", "3000", "--gamma0-db-max", "3000",
+                "--points", "1", "--out", str(out)]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    assert not recwarn.list
+    assert rows_of(csv_body(out)) == [["3000", "1000", "1000", "1", "1"]]
+
+
 def test_fbl_sweep_reports_infeasible_points(tmp_path, csv_body):
     out = tmp_path / "fbl.csv"
     # the default range starts at 5 dB where separate encoding cannot fit

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -53,6 +54,24 @@ def test_awgn_params_limits():
     assert v == pytest.approx(LOG2E ** 2 / 2.0, rel=1e-11)
     with pytest.raises(ValueError):
         awgn_params(-0.1)
+
+
+@pytest.mark.parametrize("gamma", [1e150, 1.3e154, 1e200, 1e308])
+def test_awgn_params_dispersion_limit_where_its_formula_overflows(gamma):
+    # (gamma + 1)^2 overflows from about 1.3e154 on; V must still be its
+    # limit, with no warning, and not 0 or NaN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, v = awgn_params(gamma)
+        _, vs = awgn_params(np.array([gamma, 1e12]))
+    assert v == LOG2E ** 2 / 2.0 == 1.0406844905028039
+    assert vs[0] == v
+
+
+def test_awgn_params_dispersion_below_the_cap_is_the_formula():
+    gamma = np.array([0.0, 1e-300, 0.5, 10.0, 1e12, 1e100, 1e149, 1e150])
+    _, v = awgn_params(gamma)
+    assert v.tolist() == (gamma * (gamma + 2.0) / (2.0 * (gamma + 1.0) ** 2) * LOG2E ** 2).tolist()
 
 
 def test_awgn_params_vectorized():
@@ -120,6 +139,36 @@ def test_link_budget_validation():
 def test_link_budget_rejects_non_finite_fields(fields, message):
     with pytest.raises(ValueError, match=message):
         LinkBudget(*fields)
+
+
+def _normal_arg_by_where(num, nv):
+    # num / sqrt(nv) where nv > 0, else the sign's hard threshold, both
+    # evaluated over the whole array
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(nv > 0, num / np.sqrt(np.where(nv > 0, nv, 1.0)),
+                        np.where(num > 0, np.inf, np.where(num < 0, -np.inf, 0.0)))
+
+
+def test_normal_arg_equals_the_nested_where_form():
+    num = np.array([-2.5, -1e-300, -0.0, 0.0, 3.0, np.inf, -np.inf, np.nan])
+    signs = np.array([-1.0, 0.0, 1.0, np.nan])
+    rows = [
+        np.full(num.size, 4.0),                       # every nv positive
+        np.zeros(num.size),                           # every nv zero
+        np.full(num.size, np.nan),                    # every nv NaN
+        np.array([4.0, 0.0, np.nan, 1e-300, 0.0, np.inf, np.nan, 2.0]),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for nv in rows:
+            np.testing.assert_array_equal(fbl._normal_arg(num, nv), _normal_arg_by_where(num, nv))
+        # separate mode stacks two numerators over one variance
+        stacked, nv = np.stack([num, num[::-1]]), rows[-1]
+        np.testing.assert_array_equal(fbl._normal_arg(stacked, nv),
+                                      _normal_arg_by_where(stacked, nv))
+        for s, v in [(s, v) for s in signs for v in (0.0, np.nan, 2.0)]:
+            np.testing.assert_array_equal(fbl._normal_arg(np.asarray(s), np.asarray(v)),
+                                          _normal_arg_by_where(np.asarray(s), np.asarray(v)))
 
 
 def test_asymptotic_bits_reference():
@@ -378,11 +427,32 @@ def test_first_hits_where_the_error_rises_again_with_blocklength():
     assert got.tolist() == [peak]
 
 
+def test_first_hits_where_the_error_rises_again_within_a_sub_block(monkeypatch):
+    # the same at the second floor level: the only hit lies inside an
+    # 8-column sub-block, below the errors at both its edges, so the
+    # sub-block bound must divide by the variance at its first column.
+    # The 64-column floor opens blocks hundreds of columns before such a
+    # minimum; one block from the minimum's own block to the grid's end
+    # stands in for it here, so the sub-blocks alone decide
+    budget = LinkBudget(37.5, 2e4, 2.59e-4)
+    pkt = PacketSpec(54)
+    errors = packet_error(budget, pkt, fbl._GRID)
+    peak = int(errors.argmin())
+    step = int(fbl._SUB_EDGES[1])
+    lo = peak - peak % step
+    assert lo < peak < lo + step
+    assert 0 < errors[peak] < min(errors[lo], errors[lo + step])
+    assert np.count_nonzero(errors <= errors[peak]) == 1
+    monkeypatch.setattr(fbl, "_EDGES", np.array([peak - peak % fbl._BLOCK, fbl._GRID.size - 1]))
+    got = fbl._first_hits(np.array([budget.gamma0]), budget, pkt, errors[peak], "joint")
+    assert got.tolist() == [peak]
+
+
 def test_bracket_scan_work_per_solve(monkeypatch):
     # the 30 fbl solves of the calc-sweeps benchmark: the default 20-point
     # 5-40 dB grid, three packets, five targets, both modes.  A scan of every
     # column up to the first hit evaluates about 26,300 (SNR, blocklength)
-    # elements per solve; the bounded scan, bound included, about 5,900
+    # elements per solve; the bounded scan, bounds included, about 3,000
     elements = []
 
     def counted(name):
@@ -499,3 +569,23 @@ def test_refinement_takes_three_kernel_calls_and_no_bisect(monkeypatch):
         refine_calls = calls["all"] - calls["scan"]
         refined = np.isfinite(b) & (b > fbl._GRID[0] / (2.0 * budget.latency_s))
         assert refine_calls == (3 if refined.any() else 0)
+
+
+def test_two_floor_levels_halve_the_points_per_solve(monkeypatch):
+    # the benchmark's 30 solves, every _packet_error and _error_floor
+    # element counted: the 8-column sub-block floor and the narrow first
+    # round leave about 3,000 per solve, where the 64-column floor alone
+    # with wide rounds took about 6,450
+    elements = []
+    for name in ("_packet_error", "_error_floor"):
+        inner = getattr(fbl, name)
+
+        def counted(gamma0, budget, pkt, n, mode, inner=inner):
+            elements.append(np.broadcast(gamma0, n).size)
+            return inner(gamma0, budget, pkt, n, mode)
+        monkeypatch.setattr(fbl, name, counted)
+    solves = list(_benchmark_solves())
+    for budget, pkt, eps, mode in solves:
+        min_bandwidth(budget, pkt, eps, mode)
+    assert len(solves) == 30
+    assert sum(elements) / len(solves) <= 3500

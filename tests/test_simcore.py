@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy import special
 
 from urllckit.simcore import (
     _BISECT_MAX_ITER,
@@ -100,6 +101,26 @@ def test_q_function_scalar_and_vector_forms():
     assert isinstance(out, np.ndarray)
     assert out[0] == q_function(0.0)
     assert out[1] == q_function(1.0)
+
+
+def _q_by_where(x):
+    # ndtr below the log-tail switch at 12, exp(log_ndtr) from it on, both
+    # evaluated over the whole array
+    x = np.asarray(x, dtype=float)
+    return np.where(x >= 12.0, np.exp(special.log_ndtr(-x)), special.ndtr(-x))
+
+
+def test_q_function_takes_the_log_tail_from_12_on_elementwise():
+    xs = np.array([-np.inf, -40.0, -1.0, -0.0, 0.0, 3.0, 11.5, np.nextafter(12.0, 0.0),
+                   12.0, np.nextafter(12.0, 13.0), 20.0, 38.0, 40.0, np.inf, np.nan])
+    np.testing.assert_array_equal(q_function(xs), _q_by_where(xs))
+    grid = xs[::-1].reshape(3, 5)
+    np.testing.assert_array_equal(q_function(grid), _q_by_where(grid))
+    for x in xs:
+        for form in (float(x), np.float64(x), np.asarray(x)):
+            got = q_function(form)
+            assert isinstance(got, float)
+            np.testing.assert_array_equal(got, _q_by_where(x))
 
 
 @pytest.mark.parametrize("x,expected", _LOG_Q_REFERENCE)
