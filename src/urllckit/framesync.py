@@ -221,12 +221,6 @@ def _marker_from_int(value: int, n_bits: int) -> Marker:
     return Marker(tuple((value >> (n_bits - 1 - k)) & 1 for k in range(n_bits)))
 
 
-def _flip(marker: Marker, pos: int) -> Marker:
-    bits = list(marker.bits)
-    bits[pos] ^= 1
-    return Marker(tuple(bits))
-
-
 def search_marker(n_bits: int, payload_bits: int, budget: int = 2048,
                   seed: int = 0, count_cap: int = 32) -> OccurrenceDistribution:
     """The law of the best marker of length n_bits by the p_ub criterion.
@@ -238,7 +232,9 @@ def search_marker(n_bits: int, payload_bits: int, budget: int = 2048,
     a word as a 64-bit integer, so above 64 bits the climb raises at its
     first restart, after 2 * n_bits + 1 flips that did not improve.  The
     result is the winner's OccurrenceDistribution, the law the search
-    scored it by; its marker is the winner.
+    scored it by; its marker is the winner.  Candidates are n-bit integers,
+    first bit high, and a Marker is built only for a word whose law the
+    search computes.
     """
     n_bits = check_count("n_bits", n_bits)
     budget = check_count("budget", budget)
@@ -248,24 +244,26 @@ def search_marker(n_bits: int, payload_bits: int, budget: int = 2048,
     # once per search: the climb revisits classes
     laws = {}
 
-    def scored(marker: Marker):
-        """(p_ub, law) of marker's autocorrelation class."""
-        b = marker.bits
-        key = tuple(b[j:] == b[:n_bits - j] for j in range(1, n_bits))
+    def scored(word: int):
+        """(p_ub, law) of word's autocorrelation class."""
+        # the word overlaps itself shifted by j when its top n - j bits
+        # equal its low n - j bits
+        key = tuple((word >> j) == word & ((1 << (n_bits - j)) - 1)
+                    for j in range(1, n_bits))
         entry = laws.get(key)
         if entry is None:
-            dist = occurrence_distribution(marker, payload_bits, count_cap)
+            dist = occurrence_distribution(_marker_from_int(word, n_bits),
+                                           payload_bits, count_cap)
             entry = laws[key] = (p_ub(dist), dist)
         return entry
 
     # a class's law is that of the first word of it the search scored, and
     # the winner is that word: a later one only ties it, and ties never win
     if n_bits <= 16 and 2 ** n_bits <= budget:
-        words = (_marker_from_int(value, n_bits) for value in range(2 ** n_bits))
-        _, best = max(map(scored, words), key=lambda entry: entry[0])
+        _, best = max(map(scored, range(2 ** n_bits)), key=lambda entry: entry[0])
     else:
         rng = SeededStream(seed).derive(_SEARCH_TAG, n_bits, payload_bits).generator()
-        current = Marker.alternating(n_bits)
+        current = int(Marker.alternating(n_bits).as_string(), 2)
         current_v, best = scored(current)
         best_v = current_v
         stale = 0
@@ -277,10 +275,10 @@ def search_marker(n_bits: int, payload_bits: int, budget: int = 2048,
                     raise ValueError(f"n_bits must be at most 64 for a climb that "
                                      f"restarts, got {n_bits}")
                 # uint64 reaches 2^64 and draws as int64 does below it
-                cand = _marker_from_int(
-                    int(rng.integers(0, 2 ** n_bits, dtype=np.uint64)), n_bits)
+                cand = int(rng.integers(0, 2 ** n_bits, dtype=np.uint64))
             else:
-                cand = _flip(current, int(rng.integers(0, n_bits)))
+                # bit pos of the word, counted from its first (high) bit
+                cand = current ^ (1 << (n_bits - 1 - int(rng.integers(0, n_bits))))
             v, law = scored(cand)
             if restart or v > current_v:
                 current, current_v, stale = cand, v, 0

@@ -183,21 +183,23 @@ def throughput_ratio(scenario: RayleighScenario, policy: BackoffPolicy, n: int,
                      mc: MonteCarloConfig, workers: int = 1) -> ThroughputResult:
     """Delivered-rate ratio of the estimated-theta scheme vs the genie rate.
 
-    Per trial: draw the ML estimate, set the rate from it with the
-    policy's back-off, draw one test power, and credit the rate when it
-    fits the realized channel.  The estimate is the mean of n exponential
-    training powers, which is exactly Gamma(n, theta/n), so it is drawn
-    once from that law: a trial costs O(1) for any n.  Normalization is
+    Per trial: draw the ML estimate and set the rate from it with the
+    policy's back-off.  The estimate is the mean of n exponential training
+    powers, which is exactly Gamma(n, theta/n), so it is drawn once from
+    that law, the trial's only draw: a trial costs O(1) for any n.  The
+    trial is credited with the rate times the probability that it fits the
+    channel given the estimate, exp(theta_hat * log1p(-eps_n) / theta), the
+    complement of its conditional outage, rather than with the rate or 0
+    as one test power falls.  That is conditional Monte Carlo
+    (Rao-Blackwell): the same mean, and never a larger variance, since the
+    test power's own noise is integrated out.  Normalization is
     R_eps(theta) * (1 - eps).
 
     The stream is keyed by (tag, n) only, so the policies share every draw
     at one n (common random numbers): the ar and pcr rows of one sweep are
-    correlated, and an unlucky seed moves them together.  At large n the
-    estimate is nearly exact, so the ratio's spread comes from the trials
-    in outage, about eps * trials of them (10 at eps = 1e-3 and 1e4
-    trials): the normal CI rests on that few events.  Squares are summed
-    about R_eps(theta) and eps, in those units, so no SE underflows to 0 at
-    small eps.
+    correlated, and an unlucky seed moves them together.  Squares are
+    summed about R_eps(theta) and eps, in those units, so no SE underflows
+    to 0 at small eps.
     """
     n = check_count("n", n)
     theta = scenario.theta
@@ -208,11 +210,12 @@ def throughput_ratio(scenario: RayleighScenario, policy: BackoffPolicy, n: int,
 
     def block_fn(rng: np.random.Generator, start: int, count: int):
         theta_hat = rng.gamma(n, theta / n, size=count)
-        y = rng.exponential(scale=theta, size=count)
         rate = np.log1p(-theta_hat * log_backoff) / _LN2
-        # rate fits iff the threshold power 2^rate - 1 is observed
-        delivered = np.where(-theta_hat * log_backoff <= y, rate, 0.0)
-        cond_outage = -np.expm1(theta_hat / theta * log_backoff)
+        # log P(rate fits | theta_hat): the threshold power 2^rate - 1 is
+        # exceeded by an exponential power of mean theta
+        log_fit = theta_hat / theta * log_backoff
+        delivered = rate * np.exp(log_fit)
+        cond_outage = -np.expm1(log_fit)
         return (
             delivered.sum(),
             Estimate.total_dev(delivered, genie),

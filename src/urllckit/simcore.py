@@ -14,7 +14,9 @@ MonteCarloConfig.stream is the one rule that keys a simulation's stream
 from its master seed.  Streams are keyed Philox generators: the
 (master_seed, substream_id) pair is the 128-bit key, so equal pairs give
 bit-identical sequences and distinct pairs give independent counter-based
-streams.
+streams.  A Monte-Carlo block is addressed by its counter: block b of a
+stream is the keyed Philox built at counter (b + 1) * 2^128, the state
+jumping b + 1 times would reach, so the runners never jump a generator.
 """
 
 from __future__ import annotations
@@ -313,9 +315,10 @@ class SeededStream:
     """Handle for one reproducible random stream.
 
     The pair (master_seed, substream_id) keys a Philox-4x64 generator.
-    Block generators jump the counter in 2^128 strides, so any number of
-    fixed-size Monte-Carlo blocks drawn from one stream never overlap and
-    are independent of how blocks are scheduled across workers.
+    Block generators are counter-addressed: block b starts its 256-bit
+    counter at (b + 1) * 2^128, so any number of fixed-size Monte-Carlo
+    blocks drawn from one stream never overlap and are independent of how
+    blocks are scheduled across workers.
     """
 
     master_seed: int
@@ -332,9 +335,14 @@ class SeededStream:
         return np.random.Generator(np.random.Philox(key=self._key()))
 
     def block_generator(self, block_index: int) -> np.random.Generator:
-        # jumped(0) would alias generator(); offset keeps them disjoint
-        bg = np.random.Philox(key=self._key()).jumped(block_index + 1)
-        return np.random.Generator(bg)
+        """Generator of block block_index, built at its counter directly.
+
+        The counter (block_index + 1) * 2^128 carries into the top word; it
+        is the state Philox(key).jumped(block_index + 1) reaches, with no
+        jump taken.  Counter 0 would alias generator().
+        """
+        counter = (check_count("block_index", block_index, 0) + 1) << 128
+        return np.random.Generator(np.random.Philox(counter=counter, key=self._key()))
 
     def derive(self, *indices: int) -> "SeededStream":
         """Child stream keyed by a path of integer indices (order matters)."""
@@ -395,8 +403,9 @@ def run_monte_carlo(
 
     block_fn(rng, start, count) returns a tuple of accumulators (scalars or
     arrays) that add across blocks.  The block layout depends only on
-    (trials, block_size) and each block owns a jumped substream, so the
-    reduced result is bit-identical for every worker count.
+    (trials, block_size) and each block owns a counter-addressed substream
+    (SeededStream.block_generator), so the reduced result is bit-identical
+    for every worker count.
     """
     partials = _run_blocks(trials, block_size, stream, block_fn, workers)
     # stack per-slot accumulators and let numpy's pairwise sum reduce them

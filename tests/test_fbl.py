@@ -589,3 +589,40 @@ def test_two_floor_levels_halve_the_points_per_solve(monkeypatch):
         min_bandwidth(budget, pkt, eps, mode)
     assert len(solves) == 30
     assert sum(elements) / len(solves) <= 3500
+
+
+def test_scan_past_the_sub_block_span_skips_closed_blocks(monkeypatch):
+    # near a flat error minimum the 64-column floor opens 14 blocks, yet no
+    # column meets a target 0.9x the minimum error: past the 128-column
+    # sub-block span the scan restarts at each next open block, so it stops
+    # at the last open block instead of scanning on to the grid's end
+    budget = LinkBudget(37.5, 2e4, 2.59e-4)
+    pkt = PacketSpec(54)
+    eps = 0.9 * float(packet_error(budget, pkt, fbl._GRID).min())
+    open_ = fbl._open_blocks(np.array([[budget.gamma0]]), budget, pkt, eps,
+                             fbl._GRID[fbl._EDGES], "joint")[0]
+    assert open_.sum() == 14
+    columns = []
+    inner = fbl._packet_error
+
+    def counted(gamma0, budget, pkt, n, mode):
+        columns.extend(np.searchsorted(fbl._GRID, np.ravel(n)).tolist())
+        return inner(gamma0, budget, pkt, n, mode)
+    monkeypatch.setattr(fbl, "_packet_error", counted)
+    assert fbl._first_hits(np.array([budget.gamma0]), budget, pkt, eps, "joint").tolist() == [-1]
+    # without the restart the scan evaluated 2,752 columns, up to the grid's end
+    assert len(columns) <= 2 * fbl._BLOCK * open_.sum()
+    assert min_bandwidth(budget, pkt, eps) == math.inf
+
+
+def test_first_hits_past_the_span_equal_a_scan_of_every_column():
+    # at eps >= 1/2 the floors open blocks long before the first hit: here
+    # it lies 253 columns past the first open block, beyond the two-block
+    # span, inside an open block that a restart must not skip
+    gamma0, eps, mode = np.array([10 ** 0.05]), 0.75, "separate"
+    budget, pkt = LinkBudget(gamma0, 1e3, 0.015625), PacketSpec(13, 13)
+    errors = packet_error(LinkBudget(gamma0[:, None], 1e3, 0.015625), pkt, fbl._GRID, mode)
+    hit = int(np.argmax(errors[0] <= eps))
+    open_ = fbl._open_blocks(gamma0[:, None], budget, pkt, eps, fbl._GRID[fbl._EDGES], mode)
+    assert hit - fbl._EDGES[open_[0].argmax()] > fbl._SUB_EDGES[-1]
+    assert fbl._first_hits(gamma0, budget, pkt, eps, mode).tolist() == [hit]

@@ -10,6 +10,7 @@ import pytest
 from scipy import integrate, stats
 from scipy.special import gammainc, gammaincc
 
+from urllckit import ratesel
 from urllckit.ratesel import (
     BackoffPolicy,
     NoFeasibleBackoffError,
@@ -22,7 +23,7 @@ from urllckit.ratesel import (
     pcr_epsilon,
     throughput_ratio,
 )
-from urllckit.simcore import MonteCarloConfig
+from urllckit.simcore import Estimate, MonteCarloConfig
 
 # reference values computed with mpmath at 40 decimal digits
 _REFERENCE = {
@@ -308,3 +309,101 @@ def test_throughput_ratio_matches_closed_forms(kind, n):
 
     ratio = _ratio_exact(theta, eps, eps_n, n)
     assert abs(res.ratio.mean - ratio) <= 4.0 * res.ratio.se
+
+
+# the seeds of the tests below: 0-49, and 1821, at which the ratio credited
+# by a test power strayed 4.8 sigma from the closed form at n = 10000
+_SEEDS = tuple(range(50)) + (1821,)
+
+
+def _policy(kind, eps=1e-3, xi=1e-3):
+    return BackoffPolicy(kind, eps, xi if kind == "pcr" else None)
+
+
+@pytest.mark.parametrize("n", [1, 10, 100, 1000, 10_000])
+@pytest.mark.parametrize("kind", ["ar", "pcr"])
+def test_throughput_ratio_within_4_sigma_on_every_seed(kind, n):
+    # credited with its fit probability, a trial no longer hangs on one test
+    # power, so at n = 10000 the CI does not rest on the few trials in outage
+    theta, trials = 10.0, 10_000
+    pol = _policy(kind)
+    ratio = _ratio_exact(theta, pol.eps, pol.epsilon_n(n), n)
+    for seed in _SEEDS:
+        res = throughput_ratio(RayleighScenario(theta), pol, n,
+                               MonteCarloConfig(trials, seed))
+        assert abs(res.ratio.mean - ratio) <= 4.0 * res.ratio.se, seed
+
+
+def _indicator_ratio(theta, eps, eps_n, n, mc):
+    """The ratio credited with the rate where one test power fits it and 0
+    elsewhere, from the estimates throughput_ratio draws, each followed by
+    its own test power from the same generator."""
+    rng = mc.stream(ratesel._THROUGHPUT_TAG, n).block_generator(0)
+    theta_hat = rng.gamma(n, theta / n, size=mc.trials)
+    y = rng.exponential(scale=theta, size=mc.trials)
+    log_backoff = math.log1p(-eps_n)
+    rate = np.log1p(-theta_hat * log_backoff) / math.log(2.0)
+    delivered = np.where(-theta_hat * log_backoff <= y, rate, 0.0)
+    genie = outage_capacity(theta, eps)
+    return Estimate.from_sums(delivered.sum() / (genie * (1.0 - eps)),
+                              Estimate.total_dev(delivered, genie), mc.trials,
+                              unit=1.0 / (1.0 - eps))
+
+
+def _indicator_se_exact(theta, eps, eps_n, n, trials):
+    """The indicator ratio's exact SE: a trial's credit is rate(th) with
+    probability exp(th*L/theta), so its second moment is E[rate^2 fit]."""
+    log_backoff = math.log1p(-eps_n)
+    law = stats.gamma(n, scale=theta / n)
+    lo, hi = law.ppf(1e-14), law.isf(1e-14)
+    second, _ = integrate.quad(
+        lambda th: math.log2(1.0 - th * log_backoff) ** 2
+        * math.exp(th * log_backoff / theta) * law.pdf(th),
+        lo, hi, points=[theta], limit=200, epsabs=0.0, epsrel=1e-10)
+    denom = outage_capacity(theta, eps) * (1.0 - eps)
+    mean = _ratio_exact(theta, eps, eps_n, n)
+    return math.sqrt((second / denom ** 2 - mean ** 2) / trials)
+
+
+@pytest.mark.parametrize("n", [100, 1000, 10_000])
+@pytest.mark.parametrize("kind", ["ar", "pcr"])
+def test_conditional_credit_se_below_the_indicator_se(kind, n):
+    # conditional Monte Carlo is never noisier than the test power it
+    # integrates out; at n = 10000 that noise is most of the indicator's,
+    # and the conditional SE is at most half its exact SE
+    theta, trials = 10.0, 10_000
+    pol = _policy(kind)
+    eps_n = pol.epsilon_n(n)
+    half_exact = 0.5 * _indicator_se_exact(theta, pol.eps, eps_n, n, trials)
+    for seed in _SEEDS:
+        mc = MonteCarloConfig(trials, seed)
+        res = throughput_ratio(RayleighScenario(theta), pol, n, mc)
+        assert res.ratio.se <= _indicator_ratio(theta, pol.eps, eps_n, n, mc).se, seed
+        if n == 10_000:
+            assert res.ratio.se <= half_exact, seed
+
+
+@pytest.mark.parametrize("n", [1, 100, 10_000])
+@pytest.mark.parametrize("kind", ["ar", "pcr"])
+def test_throughput_ratio_takes_one_draw_per_trial(kind, n):
+    # every audit, the ratio's credit included, is a function of the
+    # block's gamma draws alone, recomputed here bit for bit
+    theta, eps = 10.0, 1e-3
+    mc = MonteCarloConfig(10_000, 3)
+    res = throughput_ratio(RayleighScenario(theta), _policy(kind), n, mc)
+    rng = mc.stream(ratesel._THROUGHPUT_TAG, n).block_generator(0)
+    theta_hat = rng.gamma(n, theta / n, mc.trials)
+    log_backoff = math.log1p(-res.epsilon_n)
+    log_fit = theta_hat / theta * log_backoff
+    cond_outage = -np.expm1(log_fit)
+    assert res.outage == Estimate.from_sums(cond_outage.sum(),
+                                            Estimate.total_dev(cond_outage, eps),
+                                            mc.trials, unit=eps)
+    viol = int((cond_outage > eps).sum())
+    assert res.violation == Estimate.from_sums(viol, mc.trials - viol, mc.trials)
+    genie = outage_capacity(theta, eps)
+    denom = genie * (1.0 - eps)
+    delivered = np.log1p(-theta_hat * log_backoff) / math.log(2.0) * np.exp(log_fit)
+    assert res.ratio == Estimate.from_sums(delivered.sum() / denom,
+                                           Estimate.total_dev(delivered, genie),
+                                           mc.trials, unit=genie / denom)

@@ -319,6 +319,35 @@ def test_seeded_stream_block_generator_disjoint_from_base():
     assert not np.array_equal(base, blk)
 
 
+def _state_arrays(state):
+    # a bit generator's state dict with its arrays as lists, comparable by ==
+    if isinstance(state, dict):
+        return {k: _state_arrays(v) for k, v in state.items()}
+    return state.tolist() if isinstance(state, np.ndarray) else state
+
+
+@pytest.mark.parametrize("b", [0, 1, 5, 2 ** 32, 2 ** 64 - 2, 2 ** 64 - 1])
+def test_block_generator_is_the_jumped_state(b):
+    # block b is built at counter (b + 1) * 2^128 directly, the state b + 1
+    # jumps of the keyed Philox reach; at b = 2^64 - 1 the counter carries
+    # into its top word
+    s = SeededStream(2 ** 64 - 3, 12345)
+    jumped = np.random.Philox(key=np.array([2 ** 64 - 3, 12345], dtype=np.uint64)).jumped(b + 1)
+    blk = s.block_generator(b)
+    assert _state_arrays(blk.bit_generator.state) == _state_arrays(jumped.state)
+    jumped = np.random.Generator(jumped)
+    assert np.array_equal(blk.random(9), jumped.random(9))
+    assert np.array_equal(blk.gamma(3.0, 2.0, 5), jumped.gamma(3.0, 2.0, 5))
+    assert np.array_equal(blk.integers(0, 256, 7, dtype=np.uint8),
+                          jumped.integers(0, 256, 7, dtype=np.uint8))
+
+
+def test_block_generator_rejects_a_negative_index():
+    # block -1 would sit at counter 0, aliasing generator()
+    with pytest.raises(ValueError, match="block_index"):
+        SeededStream(1).block_generator(-1)
+
+
 def test_seeded_stream_validation():
     with pytest.raises(ValueError):
         SeededStream(-1)
