@@ -316,9 +316,17 @@ def covariance(spec: ClusterChannelSpec, terminal: int) -> CovariancePair:
 
 def _complex_gaussian(rng: np.random.Generator, count: int,
                       scale: np.ndarray) -> np.ndarray:
-    """count rows of (z0 + 1j z1) * scale, z i.i.d. standard normal."""
+    """count rows of (z0 + 1j z1) * scale, z i.i.d. standard normal.
+
+    Each part is scaled straight into the result, with no complex
+    temporaries; the values equal the complex product's bit for bit (only
+    a zero scale could give a zero of the other sign).
+    """
     z = rng.standard_normal((count, 2, scale.size))
-    return (z[:, 0] + 1j * z[:, 1]) * scale
+    out = np.empty((count, scale.size), dtype=complex)
+    np.multiply(z[:, 0], scale, out=out.real)
+    np.multiply(z[:, 1], scale, out=out.imag)
+    return out
 
 
 def _gain_map(paths, span: np.ndarray) -> np.ndarray:

@@ -17,18 +17,22 @@ bit-identical sequences and distinct pairs give independent counter-based
 streams.  A Monte-Carlo block is addressed by its counter: block b of a
 stream is the keyed Philox built at counter (b + 1) * 2^128, the state
 jumping b + 1 times would reach, so the runners never jump a generator.
+
+scipy.special is imported on first call by the four functions that read
+it (q_function, log_q_function, reg_lower_gamma, reg_upper_gamma_inv),
+and concurrent.futures only where a run starts a thread pool: importing
+this module loads neither, and the access, multiconn and framesync
+commands never load scipy.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import special
 
 __all__ = [
     "NoBracketError",
@@ -76,6 +80,8 @@ def q_function(x):
     arguments and the log-domain tail beyond, so values stay positive
     (subnormal if need be) instead of underflowing to zero prematurely.
     """
+    from scipy import special
+
     x = np.asarray(x, dtype=float)
     out = np.asarray(special.ndtr(-x))
     deep = x >= _Q_LOG_SWITCH
@@ -88,6 +94,8 @@ def q_function(x):
 
 def log_q_function(x):
     """Natural log of the Gaussian tail, safe far beyond float underflow."""
+    from scipy import special
+
     x = np.asarray(x, dtype=float)
     out = special.log_ndtr(-x)
     if out.ndim == 0:
@@ -97,6 +105,8 @@ def log_q_function(x):
 
 def reg_lower_gamma(n, x):
     """Regularized lower incomplete gamma P(n, x), vectorized."""
+    from scipy import special
+
     return special.gammainc(n, x)
 
 
@@ -106,6 +116,8 @@ def reg_upper_gamma_inv(n, q):
     Inverts the upper tail directly, so q = 1e-6 or 1e-300 keeps its
     digits instead of being rounded through 1 - q.
     """
+    from scipy import special
+
     return special.gammainccinv(n, q)
 
 
@@ -388,6 +400,8 @@ def _run_blocks(trials, block_size, stream, block_fn, workers):
 
     if workers <= 1 or n_blocks == 1:
         return [run_one(s) for s in spans]
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(run_one, spans))
 

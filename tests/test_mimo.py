@@ -183,6 +183,16 @@ def test_draw_channels_statistics():
     assert power == pytest.approx(sum(spec.clusters[0].powers), rel=0.05)
 
 
+@pytest.mark.parametrize("seed", [0, 3])
+def test_complex_gaussian_equals_the_complex_product(seed):
+    scale = np.sqrt(np.array([1.0, 0.3, 1e-3, 1e-200]) / 2.0)
+    z = np.random.default_rng(seed).standard_normal((500, 2, scale.size))
+    got = mimo._complex_gaussian(np.random.default_rng(seed), 500, scale)
+    want = (z[:, 0] + 1j * z[:, 1]) * scale
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
 def test_draw_channels_reproducible_and_rank():
     spec = ClusterChannelSpec(
         8, 3, (PathCluster((5.0,), (10.0,), (1.0,)),
