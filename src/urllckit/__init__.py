@@ -21,30 +21,12 @@ Capabilities, one module each:
 
 The batch interface in :mod:`urllckit.cli` turns these into CSV/JSON
 emitters; results are byte-identical for a fixed seed regardless of the
-worker count.  The package namespace re-exports each module's public API,
-its ``__all__``.
+worker count.
 """
 
-from __future__ import annotations
-
 from . import access, fbl, framesync, mimo, multiconn, ratesel, simcore
-from .access import *  # noqa: F403
-from .fbl import *  # noqa: F403
-from .framesync import *  # noqa: F403
-from .mimo import *  # noqa: F403
-from .multiconn import *  # noqa: F403
-from .ratesel import *  # noqa: F403
-from .simcore import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    *access.__all__,
-    *fbl.__all__,
-    *framesync.__all__,
-    *mimo.__all__,
-    *multiconn.__all__,
-    *ratesel.__all__,
-    *simcore.__all__,
-    "__version__",
-]
+__all__ = ["access", "fbl", "framesync", "mimo", "multiconn", "ratesel", "simcore",
+           "__version__"]

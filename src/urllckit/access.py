@@ -52,13 +52,7 @@ class AccessErrorProfile:
             check_probability(f.name, getattr(self, f.name))
 
     def as_dict(self) -> dict:
-        return {
-            "sync": self.eps_sync,
-            "request": self.eps_request,
-            "grant": self.eps_grant,
-            "data": self.eps_data,
-            "ack": self.eps_ack,
-        }
+        return {f.name.removeprefix("eps_"): getattr(self, f.name) for f in fields(self)}
 
 
 def scheme_steps(scheme: str) -> tuple:
@@ -109,8 +103,10 @@ class RetransmissionModel:
 
     def reliability_at(self, deadline_s):
         """P(delivered by deadline); a deadline exactly on an attempt boundary
-        includes that attempt (right-continuous)."""
+        includes that attempt (right-continuous); a NaN deadline raises."""
         t = np.asarray(deadline_s, dtype=float)
+        if np.isnan(t).any():
+            raise ValueError(f"deadline_s must not be NaN, got {deadline_s!r}")
         # relative nudge so a deadline sitting on k*L lands on step k despite
         # float division noise
         ratio = t / self.attempt_latency_s

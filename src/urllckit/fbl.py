@@ -302,10 +302,9 @@ def _first_hits(gamma0, budget, pkt, eps_target, mode):
     hit is scanned in rounds of _FIRST_WIDTH columns, twice as many each
     round, so the scan stops once every SNR has its first hit; a round
     holds at most _SCAN_TILE elements unless _FIRST_WIDTH columns per SNR
-    take more.  Once the rounds have carried an SNR past its two-block
-    span, a round that leaves it in a closed block restarts it at its next
-    open block, and an SNR with none left is -1, so the scan there still
-    skips what the first level closed.  The sub-block bound is
+    take more.  Every round restarts an SNR whose start lies in a closed
+    block at its next open block, and an SNR with none left is -1, so the
+    scan skips what the first level closed.  The sub-block bound is
     _error_floor on finer edges, so it divides by the variance at each
     sub-block's first column, which keeps it a bound where the error falls
     and rises again within a sub-block.
@@ -320,19 +319,15 @@ def _first_hits(gamma0, budget, pkt, eps_target, mode):
                             _GRID[np.minimum(edges, _GRID.size - 1)], mode)
     # the first open sub-block's start, or past the span where none is open
     start = edges[np.arange(searching.size), _first_hit(sub_open)]
+    # per SNR and block, the start of the first open block from it on, or
+    # past the grid's end where none is left
+    next_open = np.where(open_, _EDGES[:-1], _GRID.size)
+    next_open = np.minimum.accumulate(next_open[:, ::-1], axis=1)[:, ::-1]
     width = _FIRST_WIDTH
-    scanned = 0  # columns every SNR still searching has scanned since its start
-    next_open = None
     while True:
-        if scanned >= _SUB_EDGES[-1]:
-            # past its span, a start in a closed block moves on to the SNR's
-            # next open block, or past the grid's end where none is left
-            if next_open is None:
-                # per SNR and block, the start of the first open block from it on
-                next_open = np.where(open_, _EDGES[:-1], _GRID.size)
-                next_open = np.minimum.accumulate(next_open[:, ::-1], axis=1)[:, ::-1]
-            block = np.minimum(start // _BLOCK, next_open.shape[1] - 1)
-            start = np.maximum(start, next_open[searching, block])
+        # a start in a closed block moves on to the SNR's next open block
+        block = np.minimum(start // _BLOCK, next_open.shape[1] - 1)
+        start = np.maximum(start, next_open[searching, block])
         more = start < _GRID.size
         searching, start = searching[more], start[more]
         if not searching.size:
@@ -346,7 +341,6 @@ def _first_hits(gamma0, budget, pkt, eps_target, mode):
         found = at < w
         first[searching[found]] = cols[found, at[found]]
         searching, start = searching[~found], start[~found] + w
-        scanned += w
         width *= 2
 
 

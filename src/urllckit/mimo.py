@@ -316,17 +316,9 @@ def covariance(spec: ClusterChannelSpec, terminal: int) -> CovariancePair:
 
 def _complex_gaussian(rng: np.random.Generator, count: int,
                       scale: np.ndarray) -> np.ndarray:
-    """count rows of (z0 + 1j z1) * scale, z i.i.d. standard normal.
-
-    Each part is scaled straight into the result, with no complex
-    temporaries; the values equal the complex product's bit for bit (only
-    a zero scale could give a zero of the other sign).
-    """
+    """count rows of (z0 + 1j z1) * scale, z i.i.d. standard normal."""
     z = rng.standard_normal((count, 2, scale.size))
-    out = np.empty((count, scale.size), dtype=complex)
-    np.multiply(z[:, 0], scale, out=out.real)
-    np.multiply(z[:, 1], scale, out=out.imag)
-    return out
+    return (z[:, 0] + 1j * z[:, 1]) * scale
 
 
 def _gain_map(paths, span: np.ndarray) -> np.ndarray:
@@ -667,6 +659,8 @@ def evaluate(
     calling thread, and no BLAS call starts a thread pool.
     """
     methods = tuple(methods)
+    if not methods:
+        raise ValueError("methods must be a nonempty sequence of method names, got ()")
     for i, m in enumerate(methods):
         if m not in METHODS:
             raise ValueError(f"unknown method {m!r}")

@@ -129,3 +129,14 @@ def test_latency_cdf_reliability_at_vectorized():
     model = RetransmissionModel(eps_attempt=0.5, attempt_latency_s=2e-3, max_attempts=3)
     out = model.reliability_at(np.array([1e-3, 2e-3, 4e-3, 1.0]))
     assert out == pytest.approx([0.0, 0.5, 0.75, 0.875], rel=1e-12)
+
+
+def test_latency_cdf_reliability_at_rejects_a_nan_deadline():
+    model = RetransmissionModel(eps_attempt=0.1, attempt_latency_s=1e-3, max_attempts=5)
+    for bad in (math.nan, np.array([1e-3, math.nan])):
+        with pytest.raises(ValueError, match=r"\bdeadline_s must not be NaN"):
+            model.reliability_at(bad)
+    # a deadline before the first attempt delivers nothing, and an infinite
+    # one saturates at 1 - residual
+    assert model.reliability_at(-1.0) == 0.0
+    assert model.reliability_at(math.inf) == 1.0 - model.residual_error

@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from urllckit import fbl, simcore
@@ -384,20 +384,22 @@ def test_min_bandwidth_pinned_at_eps_above_one_half():
     assert min_bandwidth(budget, PacketSpec(8, 8), 0.9, "joint") == 3322.4831284805077
 
 
-# the block edges of the bracket scan, where a rounding slip would show
-_EDGE_COLUMNS = sorted({int(e) + d for e in fbl._EDGES for d in (-1, 0, 1)} & set(range(4096)))
-
-
-@given(
+# random solves: up to 8 SNRs of one budget, targets from 1e-30 to 0.999
+_SOLVES = dict(
     g_db=st.lists(st.floats(-30.0, 70.0), min_size=1, max_size=8),
     b0=st.floats(1e3, 1e7),
     latency=st.floats(1e-5, 1e-1),
     bits=st.tuples(st.integers(0, 4000), st.integers(0, 4000)).filter(any),
     eps=st.one_of(st.floats(-30.0, math.log10(0.999)).map(lambda k: 10.0 ** k),
                   st.floats(0.5, 0.999)),
-    tie=st.one_of(st.none(), st.sampled_from(_EDGE_COLUMNS), st.integers(0, 4095)),
     mode=st.sampled_from(["joint", "separate"]),
 )
+
+# the block edges of the bracket scan, where a rounding slip would show
+_EDGE_COLUMNS = sorted({int(e) + d for e in fbl._EDGES for d in (-1, 0, 1)} & set(range(4096)))
+
+
+@given(**_SOLVES, tie=st.one_of(st.none(), st.sampled_from(_EDGE_COLUMNS), st.integers(0, 4095)))
 def test_first_hits_equal_a_scan_of_every_column(g_db, b0, latency, bits, eps, tie, mode):
     # the scan skips blocks whose bound rules out a hit; its first hits
     # must be those of packet_error evaluated at every grid column
@@ -411,6 +413,39 @@ def test_first_hits_equal_a_scan_of_every_column(g_db, b0, latency, bits, eps, t
     expected = np.where(hit.any(axis=1), hit.argmax(axis=1), -1)
     got = fbl._first_hits(gamma0, LinkBudget(gamma0, b0, latency), pkt, eps, mode)
     assert got.tolist() == expected.tolist()
+
+
+@given(**_SOLVES, near_min=st.one_of(st.none(), st.floats(0.5, 1.0)))
+# 51 closed blocks between the open ones and the one hit, in the grid's last
+# column; and a flat minimum that no column meets
+@example(g_db=[33.0], b0=1e3, latency=1e-5, bits=(0, 1), eps=0.1, near_min=1.0, mode="joint")
+@example(g_db=[10.0 * math.log10(37.5)], b0=2e4, latency=2.59e-4, bits=(54, 0), eps=0.1,
+         near_min=0.9, mode="joint")
+def test_every_scan_round_starts_each_row_in_an_open_block(g_db, b0, latency, bits, eps,
+                                                           near_min, mode):
+    # a closed 64-column block holds no hit, so no packet_error call of the
+    # bracket scan starts a row in one, from the first round on.  A target
+    # just below the least error opens the blocks around a flat minimum and
+    # leaves them without a hit, so the scan runs on past them
+    gamma0 = 10.0 ** (np.array(g_db) / 10.0)
+    budget, pkt = LinkBudget(gamma0, b0, latency), PacketSpec(*bits)
+    if near_min is not None:
+        least = float(packet_error(LinkBudget(gamma0[0], b0, latency), pkt, fbl._GRID, mode).min())
+        if 0.0 < least < 1.0:
+            eps = near_min * least
+    calls = []
+    inner = fbl._packet_error
+
+    def recorded(g, budget, pkt, n, mode):
+        calls.append((g, n[:, 0]))
+        return inner(g, budget, pkt, n, mode)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fbl, "_packet_error", recorded)
+        fbl._first_hits(gamma0, budget, pkt, eps, mode)
+    for g, n in calls:
+        open_ = fbl._open_blocks(g, budget, pkt, eps, fbl._GRID[fbl._EDGES], mode)
+        block = np.minimum(np.searchsorted(fbl._GRID, n) // fbl._BLOCK, open_.shape[1] - 1)
+        assert open_[np.arange(g.shape[0]), block].all()
 
 
 def test_first_hits_where_the_error_rises_again_with_blocklength():
@@ -448,34 +483,6 @@ def test_first_hits_where_the_error_rises_again_within_a_sub_block(monkeypatch):
     assert got.tolist() == [peak]
 
 
-def test_bracket_scan_work_per_solve(monkeypatch):
-    # the 30 fbl solves of the calc-sweeps benchmark: the default 20-point
-    # 5-40 dB grid, three packets, five targets, both modes.  A scan of every
-    # column up to the first hit evaluates about 26,300 (SNR, blocklength)
-    # elements per solve; the bounded scan, bounds included, about 3,000
-    elements = []
-
-    def counted(name):
-        inner = getattr(fbl, name)
-
-        def wrapper(gamma0, budget, pkt, n, mode):
-            elements.append(np.broadcast(gamma0, n).size)
-            return inner(gamma0, budget, pkt, n, mode)
-        monkeypatch.setattr(fbl, name, wrapper)
-
-    counted("_packet_error")
-    counted("_error_floor")
-    budget = LinkBudget(10.0 ** (np.linspace(5.0, 40.0, 20) / 10.0), 1e5, 1e-3)
-    solves = 0
-    for eps in (1e-5, 1e-7, 1e-9, 1e-12, 1e-17):
-        for data, meta in ((16, 16), (32, 8), (4, 4)):
-            for mode in ("joint", "separate"):
-                min_bandwidth(budget, PacketSpec.from_bytes(data, meta), eps, mode)
-                solves += 1
-    assert solves == 30
-    assert sum(elements) / solves < 8000
-
-
 def _bisection_subgrid(lo, hi, levels):
     # every point bisection can visit in `levels` halvings of each [lo, hi],
     # in order, built by the same recursive midpoints 0.5*(lo + hi)
@@ -487,15 +494,7 @@ def _bisection_subgrid(lo, hi, levels):
     return pts
 
 
-@given(
-    g_db=st.lists(st.floats(-30.0, 70.0), min_size=1, max_size=8),
-    b0=st.floats(1e3, 1e7),
-    latency=st.floats(1e-5, 1e-1),
-    bits=st.tuples(st.integers(0, 4000), st.integers(0, 4000)).filter(any),
-    eps=st.one_of(st.floats(-30.0, math.log10(0.999)).map(lambda k: 10.0 ** k),
-                  st.floats(0.5, 0.999)),
-    mode=st.sampled_from(["joint", "separate"]),
-)
+@given(**_SOLVES)
 def test_refine_equals_bisect_on_the_coarse_bracket(g_db, b0, latency, bits, eps, mode):
     # the first-hit scan over bisection's own midpoints must return the
     # point bisection to a width of 1e-6 * lo returns, bit for bit
@@ -593,9 +592,9 @@ def test_two_floor_levels_halve_the_points_per_solve(monkeypatch):
 
 def test_scan_past_the_sub_block_span_skips_closed_blocks(monkeypatch):
     # near a flat error minimum the 64-column floor opens 14 blocks, yet no
-    # column meets a target 0.9x the minimum error: past the 128-column
-    # sub-block span the scan restarts at each next open block, so it stops
-    # at the last open block instead of scanning on to the grid's end
+    # column meets a target 0.9x the minimum error: each round that would
+    # start in a closed block restarts at the next open one, so the scan
+    # stops at the last open block instead of running on to the grid's end
     budget = LinkBudget(37.5, 2e4, 2.59e-4)
     pkt = PacketSpec(54)
     eps = 0.9 * float(packet_error(budget, pkt, fbl._GRID).min())

@@ -147,6 +147,10 @@ _ROWS = [
         (math.nan, math.inf, -math.inf, 4000.0, -3075.0, -4000.0, "5", None, True,
          np.True_),
         id="evaluate-rho_db"),
+    # no method leaves nothing to evaluate
+    pytest.param("methods", lambda v: mimo.evaluate(
+        _SPEC, v, 0.0, "space", MonteCarloConfig(10, 0)), ("all_sv_coh",), ((), []),
+        id="evaluate-methods"),
     pytest.param("estimation_noise_std", lambda v: mimo.evaluate(
         _SPEC, ("strongest_sv_inst",), 0.0, "space", MonteCarloConfig(10, 0),
         estimation_noise_std=v), 0.5,

@@ -4,7 +4,7 @@ scipy.special costs most of a cold `import urllckit.cli`, and only the
 Gaussian-tail and incomplete-gamma primitives of simcore read it, so it is
 imported on their first call.  These tests check which modules a fresh
 interpreter has loaded, not how long it took, so they do not depend on
-the machine's speed.
+the machine's speed.  The package itself binds its modules and version only.
 """
 
 from __future__ import annotations
@@ -16,6 +16,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+import urllckit
 
 ROOT = Path(__file__).resolve().parents[1]
 _WATCHED = ("scipy.special", "concurrent.futures")
@@ -71,3 +73,14 @@ def test_command_leaves_scipy_special_unloaded(loaded, command):
 
 def test_fbl_sweep_loads_scipy_special_on_first_use(loaded):
     assert "scipy.special" in loaded["fbl sweep"]
+
+
+def test_package_binds_only_its_modules_and_version():
+    modules = ["access", "fbl", "framesync", "mimo", "multiconn", "ratesel", "simcore"]
+    assert urllckit.__all__ == [*modules, "__version__"]
+    assert isinstance(urllckit.__version__, str)
+    # any other name is a submodule, which an import of it binds here
+    names = [k for k in vars(urllckit) if not (k.startswith("__") and k.endswith("__"))]
+    assert set(modules) <= set(names)
+    for name in names:
+        assert getattr(urllckit, name).__name__ == f"urllckit.{name}", name
