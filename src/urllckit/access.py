@@ -103,8 +103,10 @@ class RetransmissionModel:
 
     def reliability_at(self, deadline_s):
         """P(delivered by deadline); a deadline exactly on an attempt boundary
-        includes that attempt (right-continuous); a NaN deadline raises."""
-        t = np.asarray(deadline_s, dtype=float)
+        includes that attempt (right-continuous); a NaN or non-real one raises."""
+        t = np.asarray(deadline_s)
+        if t.dtype.kind not in "iuf":
+            raise ValueError(f"deadline_s must be a real number, got {deadline_s!r}")
         if np.isnan(t).any():
             raise ValueError(f"deadline_s must not be NaN, got {deadline_s!r}")
         # relative nudge so a deadline sitting on k*L lands on step k despite

@@ -25,7 +25,6 @@ from . import access, fbl, framesync, mimo, multiconn, ratesel
 from .scenario import (
     Field,
     apply_schema,
-    bool_field,
     choice_field,
     float_field,
     int_field,
@@ -164,8 +163,7 @@ def _cmd_framesync_sweep(args, argv) -> int:
     # longest first, so a length the search refuses fails before the rest
     # run; each search draws its own stream, keyed by its length, so the
     # order changes no result
-    dists = {nm: framesync.search_marker(nm, args.payload_bits, budget=args.budget,
-                                         seed=args.seed, count_cap=args.count_cap)
+    dists = {nm: framesync.search_marker(nm, args.payload_bits, args.budget, args.seed)
              for nm in range(args.nm_max, args.nm_min - 1, -1)}
     rows = []
     marker_notes = []
@@ -177,7 +175,7 @@ def _cmd_framesync_sweep(args, argv) -> int:
     comments = [
         _command_comment(argv),
         f"seed = {args.seed}, payload_bits = {args.payload_bits}, "
-        f"budget = {args.budget}, count_cap = {args.count_cap}",
+        f"budget = {args.budget}",
         *marker_notes,
     ]
     _write_csv(args.out, comments, ["N_m", "l", "P_UB"], rows)
@@ -195,7 +193,6 @@ _MIMO_SCHEMA = {
     "span_db": Field(float_field(0.0), 20.0),
     "departure_centers_deg": Field(list_field(_finite_float, 2), (-6.0, 6.0)),
     "arrival_centers_deg": Field(list_field(_finite_float, 2), (-30.0, 30.0)),
-    "normalize_power": Field(bool_field(), True),
     "rho_db": Field(float_field(), 0.0),
     "multiplexing": Field(choice_field(("space", "time")), "space"),
     "payload_bits": Field(int_field(1), 100),
@@ -222,7 +219,7 @@ def _cmd_mimo(args, argv) -> int:
         arrival_spread_deg=cfg["arrival_spread_deg"], span_db=cfg["span_db"],
         departure_centers_deg=cfg["departure_centers_deg"],
         arrival_centers_deg=cfg["arrival_centers_deg"],
-        normalize_power=cfg["normalize_power"], seed=cfg["angle_seed"])
+        seed=cfg["angle_seed"])
     mc = MonteCarloConfig(args.trials, args.seed)
     ev = mimo.evaluate(
         spec, cfg["methods"], cfg["rho_db"], cfg["multiplexing"], mc,
@@ -316,12 +313,13 @@ def _build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int_field(0), default=0,
                         help="master seed for every random stream (default 0)")
-    common.add_argument("--trials", type=int_field(1), default=100_000,
-                        help="Monte-Carlo trial count where applicable")
     common.add_argument("--workers", type=int_field(1), default=1,
                         help="Monte-Carlo fan-out; never changes results "
                              "(mimo ignores it: it runs on one thread, "
                              "BLAS included)")
+    trials = argparse.ArgumentParser(add_help=False)
+    trials.add_argument("--trials", type=int_field(1), default=100_000,
+                        help="Monte-Carlo trial count")
     outp = argparse.ArgumentParser(add_help=False)
     outp.add_argument("--out", required=True, help="output CSV path")
 
@@ -370,10 +368,9 @@ def _build_parser() -> _Parser:
                    default=(1, 2, 4, 8))
     p.add_argument("--budget", type=int_field(1), default=400,
                    help="marker-search evaluation budget per length")
-    p.add_argument("--count-cap", type=int_field(1), default=32)
     p.set_defaults(handler=_cmd_framesync_sweep)
 
-    p = sub.add_parser("mimo", parents=[common, outp],
+    p = sub.add_parser("mimo", parents=[common, trials, outp],
                        help="two-terminal beamforming evaluation")
     p.add_argument("--scenario", required=True,
                    help="key = value scenario file")
@@ -402,7 +399,7 @@ def _build_parser() -> _Parser:
     rsp = sub.add_parser("ratesel", help="statistical rate selection")
     rs_sub = rsp.add_subparsers(dest="subcommand", required=True,
                                 parser_class=_Parser)
-    p = rs_sub.add_parser("sweep", parents=[common, outp],
+    p = rs_sub.add_parser("sweep", parents=[common, trials, outp],
                           help="throughput ratio vs training length")
     p.add_argument("--theta", type=_positive_float, default=10.0)
     p.add_argument("--eps", type=float_field(0.0, 1.0, strict=True), default=1e-3)

@@ -16,7 +16,8 @@ the payload a byte at a time: one transfer matrix, built from the state
 after each of the 256 bytes and the matches completed inside it, moves
 the joint law of (state, count) through a byte with one matrix product.
 The n mod 8 leftover bits step one at a time.  Counts above a cap are
-summed into a tail mass, which the bounds score as zero.  A word's law
+summed into a tail mass, and the cap doubles until that mass is below
+rounding in every bound, which scores it as zero.  A word's law
 depends only on its autocorrelation (Guibas & Odlyzko, 1981): words of one
 class have the same law in exact arithmetic, though the float DP may give
 them laws that differ in the last bits, so the marker search scores each
@@ -52,6 +53,8 @@ __all__ = [
 
 _SEARCH_TAG = 101
 _SIM_TAG = 102
+
+_FIRST_CAP = 32  # the occurrence DP's first count cap
 
 # targets ~2^22 doubles of scratch per simulation block
 _SIM_BLOCK_ELEMS = 2 ** 22
@@ -97,7 +100,7 @@ class OccurrenceDistribution:
     """Exact distribution of the false-sync occurrence count C.
 
     probs maps each count with positive mass to its probability; tail_mass
-    is whatever sits above the count cap.
+    is whatever sits above the DP's count cap, at most eps / (payload_bits + 1).
     """
 
     marker: Marker
@@ -150,23 +153,12 @@ def _byte_tables(delta: np.ndarray):
     return after, hits
 
 
-def occurrence_distribution(marker: Marker, payload_bits: int,
-                            count_cap: int = 32) -> OccurrenceDistribution:
-    """Exact law of C for i.i.d. uniform payload bits behind the marker.
-
-    Counts above count_cap are lumped into tail_mass.  All probabilities
-    are dyadic rationals, so for payloads up to ~50 bits the float
-    arithmetic here is exact.
-    """
-    payload_bits = check_count("payload_bits", payload_bits, 0)
-    count_cap = check_count("count_cap", count_cap)
-    m = len(marker)
-    cap = min(count_cap, payload_bits)
+def _joint_law(delta: np.ndarray, payload_bits: int, cap: int):
+    """One DP pass: the joint law over (automaton state, count 0..cap), and
+    the mass of the counts above cap, which the steps keep and sum once."""
+    m = delta.shape[0] - 1
     states = m + 1
-    delta = _prefix_automaton(marker.bits)
     source = np.arange(states)[:, None]
-    # joint law over (automaton state, count 0..cap); the steps keep mass,
-    # so what passes the cap is summed once into the tail
     prob = np.zeros((states, cap + 1))
     prob[m, 0] = 1.0  # the marker itself was just read; its match is not counted
     tail = 0.0
@@ -187,6 +179,26 @@ def occurrence_distribution(marker: Marker, payload_bits: int,
                 kept = max(cap + 1 - k, 0)  # counts that stay at or below the cap
                 prob[:, k:] += moved[k, :, :kept]
                 tail += float(moved[k, :, kept:].sum())
+    return prob, tail
+
+
+def occurrence_distribution(marker: Marker, payload_bits: int) -> OccurrenceDistribution:
+    """Exact law of C for i.i.d. uniform payload bits behind the marker.
+
+    The DP counts up to a cap, min(_FIRST_CAP, payload_bits), and reruns at
+    twice the cap while the mass above it exceeds eps / (payload_bits + 1):
+    every p_ub_list is at least 1 / (payload_bits + 1) and moves by at most
+    that tail_mass, so by no more than rounding.  Probabilities are dyadic
+    rationals, exact in floats for payloads up to ~50 bits.
+    """
+    payload_bits = check_count("payload_bits", payload_bits, 0)
+    delta = _prefix_automaton(marker.bits)
+    cap = min(_FIRST_CAP, payload_bits)
+    prob, tail = _joint_law(delta, payload_bits, cap)
+    # at cap = payload_bits no count passes the cap, so the tail is 0
+    while tail > np.finfo(float).eps / (payload_bits + 1):
+        cap = min(2 * cap, payload_bits)
+        prob, tail = _joint_law(delta, payload_bits, cap)
 
     by_count = prob.sum(axis=0)
     total = float(by_count.sum()) + tail
@@ -199,8 +211,7 @@ def occurrence_distribution(marker: Marker, payload_bits: int,
 def p_ub(dist: OccurrenceDistribution) -> float:
     """Correct-sync upper bound sum_i Pr{C=i}/(i+1): p_ub_list at l = 1.
 
-    Tail mass above the cap contributes zero, which can only lower the
-    bound (pessimistic).
+    Tail mass, below rounding, contributes zero.
     """
     return p_ub_list(dist, 1)
 
@@ -208,7 +219,7 @@ def p_ub(dist: OccurrenceDistribution) -> float:
 def p_ub_list(dist: OccurrenceDistribution, list_len: int) -> float:
     """List-detector bound: Pr{C < l} plus l/(i+1) weighted mass above.
 
-    Nondecreasing in l.  Tail mass contributes zero.
+    Nondecreasing in l.  Tail mass contributes zero, as in p_ub.
     """
     list_len = check_count("list_len", list_len)
     acc = 0.0
@@ -222,7 +233,7 @@ def _marker_from_int(value: int, n_bits: int) -> Marker:
 
 
 def search_marker(n_bits: int, payload_bits: int, budget: int = 2048,
-                  seed: int = 0, count_cap: int = 32) -> OccurrenceDistribution:
+                  seed: int = 0) -> OccurrenceDistribution:
     """The law of the best marker of length n_bits by the p_ub criterion.
 
     Exhaustive when the budget covers all 2^n_bits words (and n_bits is
@@ -232,9 +243,9 @@ def search_marker(n_bits: int, payload_bits: int, budget: int = 2048,
     a word as a 64-bit integer, so above 64 bits the climb raises at its
     first restart, after 2 * n_bits + 1 flips that did not improve.  The
     result is the winner's OccurrenceDistribution, the law the search
-    scored it by; its marker is the winner.  Candidates are n-bit integers,
-    first bit high, and a Marker is built only for a word whose law the
-    search computes.
+    scored it by, whose tail is below rounding; its marker is the winner.
+    Candidates are n-bit integers, first bit high, and a Marker is built
+    only for a word whose law the search computes.
     """
     n_bits = check_count("n_bits", n_bits)
     budget = check_count("budget", budget)
@@ -253,7 +264,7 @@ def search_marker(n_bits: int, payload_bits: int, budget: int = 2048,
         entry = laws.get(key)
         if entry is None:
             dist = occurrence_distribution(_marker_from_int(word, n_bits),
-                                           payload_bits, count_cap)
+                                           payload_bits)
             entry = laws[key] = (p_ub(dist), dist)
         return entry
 

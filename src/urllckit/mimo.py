@@ -214,11 +214,11 @@ def random_cluster_spec(
     span_db: float = 20.0,
     departure_centers_deg: Sequence[float] = (-6.0, 6.0),
     arrival_centers_deg: Sequence[float] = (-30.0, 30.0),
-    normalize_power: bool = True,
     seed: int = 1,
 ) -> ClusterChannelSpec:
     """Draw a two-terminal scenario: angles uniform within each cluster
-    spread, powers decaying exponentially over span_db (strongest first).
+    spread, powers decaying exponentially over span_db (strongest first)
+    and summing to 1 in each cluster.
 
     arrival_spread_deg defaults to spread_deg; setting it wider than the
     departure spread models terminals in rich local scattering seen through
@@ -238,8 +238,7 @@ def random_cluster_spec(
     check_nonnegative("span_db", span_db)
     rng = SeededStream(seed).derive(_SCENARIO_TAG).generator()
     decay = np.power(10.0, -span_db / 10.0 * np.arange(paths) / max(paths - 1, 1))
-    if normalize_power:
-        decay = decay / decay.sum()
+    decay = decay / decay.sum()
     clusters = []
     for dep_c, arr_c in zip(departure_centers_deg, arrival_centers_deg):
         dep = dep_c + spread_deg * (rng.random(paths) - 0.5)

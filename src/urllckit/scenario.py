@@ -132,13 +132,3 @@ def list_field(item_convert: Callable[[str], object], length: Optional[int] = No
         return tuple(item_convert(p) for p in parts)
     return comma_list
 
-
-def bool_field():
-    def convert(s: str) -> bool:
-        low = s.lower()
-        if low in ("1", "true", "yes", "on"):
-            return True
-        if low in ("0", "false", "no", "off"):
-            return False
-        raise ScenarioError(f"must be a boolean, got {s!r}")
-    return convert

@@ -41,8 +41,21 @@ def test_invalid_value_rejected(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command,flag", [
+    # --trials is read only by mimo and ratesel sweep
+    ("fbl sweep", "--trials"),
+    ("framesync sweep", "--trials"),
+    ("multiconn sweep", "--trials"),
+    ("framesync sweep", "--count-cap"),
+])
+def test_flag_no_subcommand_reads_is_unknown(tmp_path, capsys, command, flag):
+    out = tmp_path / "x.csv"
+    assert run([*command.split(), "--out", str(out), flag, "5"]) == EXIT_USAGE
+    assert not out.exists()
+    assert f"unrecognized arguments: {flag} 5" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command,flag,value", [
-    ("fbl sweep", "--trials", "0"),
     ("fbl sweep", "--seed", "-1"),
     ("fbl sweep", "--eps", "0"),
     ("fbl sweep", "--eps", "1"),
@@ -52,6 +65,7 @@ def test_invalid_value_rejected(tmp_path, capsys):
     ("fbl sweep", "--latency-s", "inf"),
     ("fbl sweep", "--gamma0-db-min", "nan"),
     ("fbl sweep", "--gamma0-db-max", "inf"),
+    ("ratesel sweep", "--trials", "0"),
     ("ratesel sweep", "--eps", "0"),
     ("ratesel sweep", "--eps", "1"),
     ("ratesel sweep", "--eps", "nan"),
@@ -223,6 +237,15 @@ def test_framesync_sweep_small(tmp_path, csv_body):
     assert "marker" in out.read_text()
 
 
+def test_framesync_sweep_prints_the_full_law_of_a_short_marker(tmp_path, csv_body):
+    # 0000 reproduces about 64 times in 1024 bits; a law cut at 32 counts
+    # read P_UB 4.66158132847e-05 here
+    out = tmp_path / "fs.csv"
+    assert run(["framesync", "sweep", "--out", str(out), "--nm-min", "4",
+                "--nm-max", "4", "--payload-bits", "1024", "--budget", "16"]) == EXIT_OK
+    assert rows_of(csv_body(out))[0] == ["4", "1", "0.0157813262669"]
+
+
 def test_framesync_sweep_range_check(tmp_path, capsys):
     out = tmp_path / "fs.csv"
     assert run(["framesync", "sweep", "--out", str(out),
@@ -368,13 +391,15 @@ def test_mimo_explicit_sinr_path(tmp_path):
 
 
 def test_mimo_unknown_scenario_key(tmp_path, capsys):
-    scn = tmp_path / "scn.txt"
-    scn.write_text("bogus = 1\n")
-    out = tmp_path / "m.csv"
-    assert run(["mimo", "--scenario", str(scn), "--out", str(out)]) == \
-        EXIT_USAGE
-    assert not out.exists()
-    assert "bogus" in capsys.readouterr().err
+    # path powers always sum to 1 per cluster; no key switches that off
+    for key in ("bogus", "normalize_power"):
+        scn = tmp_path / "scn.txt"
+        scn.write_text(f"{key} = 1\n")
+        out = tmp_path / "m.csv"
+        assert run(["mimo", "--scenario", str(scn), "--out", str(out)]) == \
+            EXIT_USAGE
+        assert not out.exists()
+        assert f"unknown keys: {key}" in capsys.readouterr().err
 
 
 def test_mimo_nan_scenario_value_writes_nothing(tmp_path, capsys):

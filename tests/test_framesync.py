@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -111,19 +112,13 @@ def test_equal_autocorrelation_gives_equal_law():
 
 
 @settings(max_examples=60, deadline=None)
-@given(bits=st.text("01", min_size=1, max_size=6),
-       payload=st.integers(0, 12), cap=st.integers(1, 6))
-def test_capped_distribution_matches_enumeration(bits, payload, cap):
-    # at small caps BLAS may sum the lumped tail in another order than here
+@given(bits=st.text("01", min_size=1, max_size=6), payload=st.integers(0, 12))
+def test_capped_distribution_matches_enumeration(bits, payload):
+    # the DP's first count cap already covers every count of these payloads
     marker = Marker.from_string(bits)
-    dist = occurrence_distribution(marker, payload, count_cap=cap)
-    expected = brute_force_counts(marker, payload)
-    capped = {c: p for c, p in expected.items() if c <= cap}
-    assert set(dist.probs) == set(capped)
-    for count, prob in capped.items():
-        assert dist.probs[count] == pytest.approx(prob, rel=1e-15, abs=0)
-    tail = sum(p for c, p in expected.items() if c > cap)
-    assert dist.tail_mass == pytest.approx(tail, rel=1e-15, abs=0)
+    dist = occurrence_distribution(marker, payload)
+    assert dist.probs == brute_force_counts(marker, payload)
+    assert dist.tail_mass == 0.0
 
 
 def test_distribution_empty_payload():
@@ -131,27 +126,47 @@ def test_distribution_empty_payload():
     assert dist.probs == {0: 1.0}
 
 
-def test_distribution_cap_lumps_tail():
-    marker = Marker.from_string("1")
-    full = occurrence_distribution(marker, 8, count_cap=32)
-    capped = occurrence_distribution(marker, 8, count_cap=3)
-    expected_tail = sum(p for c, p in full.probs.items() if c > 3)
-    assert capped.tail_mass == pytest.approx(expected_tail, abs=1e-15)
-    assert max(capped.probs) <= 3
+@pytest.mark.parametrize("n", [40, 100, 1024])
+def test_marker_one_count_is_binomial(n):
+    # 1 reproduces at every 1 bit, so C ~ Binomial(n, 1/2): counts far past
+    # the DP's first cap of 32, which it must rerun to reach
+    dist = occurrence_distribution(Marker.from_string("1"), n)
+    pmf = [float(Fraction(math.comb(n, k), 2 ** n)) for k in range(n + 1)]
+    assert sorted(dist.probs) == list(range(n + 1))
+    for k, p in dist.probs.items():
+        assert p == pytest.approx(pmf[k], rel=1e-12, abs=0)
+    # sum_k C(n, k) 2^-n / (k + 1) = (2 - 2^-n) / (n + 1)
+    assert p_ub(dist) == pytest.approx(float(Fraction(2 ** (n + 1) - 1, 2 ** n * (n + 1))),
+                                       rel=1e-12, abs=0)
+    assert dist.tail_mass <= np.finfo(float).eps / (n + 1)
 
 
-def test_capped_bound_is_pessimistic():
-    marker = Marker.from_string("1")
-    full = p_ub(occurrence_distribution(marker, 10, count_cap=32))
-    capped = p_ub(occurrence_distribution(marker, 10, count_cap=2))
-    assert capped <= full
+def test_exact_laws_take_one_pass(monkeypatch):
+    # a law whose first pass lumps only rounding is not rerun: the
+    # benchmark's 23- and 24-bit searches at 256 payload bits take one DP
+    # pass per autocorrelation class they score
+    passes, calls = [], []
+    joint_law, distribution = framesync._joint_law, framesync.occurrence_distribution
+
+    def counted_pass(delta, payload_bits, cap):
+        passes.append(cap)
+        return joint_law(delta, payload_bits, cap)
+
+    def counted_call(*args):
+        calls.append(args)
+        return distribution(*args)
+
+    monkeypatch.setattr(framesync, "_joint_law", counted_pass)
+    monkeypatch.setattr(framesync, "occurrence_distribution", counted_call)
+    for n_bits in (23, 24):
+        search_marker(n_bits, 256, budget=100, seed=0)
+    assert len(calls) > 2
+    assert passes == [32] * len(calls)
 
 
 def test_distribution_validation():
     with pytest.raises(ValueError):
         occurrence_distribution(Marker.from_string("1"), -1)
-    with pytest.raises(ValueError):
-        occurrence_distribution(Marker.from_string("1"), 4, count_cap=0)
 
 
 def test_p_ub_list_properties():
@@ -161,10 +176,14 @@ def test_p_ub_list_properties():
     for n_bits in (1, 2, 3, 4):
         for value in range(2 ** n_bits):
             marker = Marker(tuple((value >> k) & 1 for k in range(n_bits)))
-            for payload, cap in ((0, 32), (5, 32), (16, 32), (40, 32), (16, 2)):
-                d = occurrence_distribution(marker, payload, count_cap=cap)
+            for payload in (0, 5, 16, 40, 256, 1024):
+                d = occurrence_distribution(marker, payload)
                 assert p_ub(d) == p_ub_list(d, 1) == sum(
                     p / (i + 1) for i, p in d.probs.items())
+                # short markers reproduce past the DP's first cap; what it
+                # lumps moves no bound by more than rounding, p_ub >= 1/(n+1)
+                assert d.tail_mass <= np.finfo(float).eps / (payload + 1)
+                assert p_ub(d) >= 1.0 / (payload + 1)
     vals = [p_ub_list(dist, l) for l in (1, 2, 3, 4, 6, 8)]
     assert all(a <= b for a, b in zip(vals, vals[1:]))
     # a list covering the whole support is certain to contain the truth

@@ -62,8 +62,6 @@ _ROWS = [
     _count("alternating", "n_bits", framesync.Marker.alternating, 5),
     _count("occurrence_distribution", "payload_bits", lambda n: (
         framesync.occurrence_distribution(_MARKER, n).probs), 12),
-    _count("occurrence_distribution", "count_cap", lambda c: (
-        framesync.occurrence_distribution(_MARKER, 16, count_cap=c).tail_mass), 1),
     _count("p_ub_list", "list_len", lambda l: framesync.p_ub_list(_DIST, l), 2),
     _count("search_marker", "n_bits", lambda n: framesync.search_marker(n, 16, budget=64).marker, 6),
     _count("search_marker", "budget", lambda b: framesync.search_marker(12, 16, budget=b).marker, 20),
@@ -100,6 +98,11 @@ _ROWS = [
     _positive("LinkBudget", "b0_hz", lambda v: fbl.LinkBudget(10.0, v, 1e-3), 1e5),
     _positive("LinkBudget", "latency_s", lambda v: fbl.LinkBudget(10.0, 1e5, v), 1e-3),
     _positive("RayleighScenario", "theta", ratesel.RayleighScenario, 10.0),
+    # a string, bytes or a boolean deadline used to read as a number of seconds
+    pytest.param("deadline_s", access.RetransmissionModel(
+        eps_attempt=0.1, attempt_latency_s=1e-3, max_attempts=5).reliability_at, 2e-3,
+        ("2e-3", True, b"3e-3", ["2e-3", "1"], np.True_, [True, False], 2e-3j, None),
+        id="reliability_at-deadline_s"),
     _positive("RetransmissionModel", "attempt_latency_s", lambda v: access.RetransmissionModel(
         eps_attempt=0.1, attempt_latency_s=v, max_attempts=3), 1e-3),
     _positive("PathCluster", "powers", lambda v: mimo.PathCluster(

@@ -1,4 +1,5 @@
-"""Every ```python block of README.md runs to the end against the package in src/."""
+"""README.md: every ```python block runs to the end against the package in src/,
+and the MIMO scenario-key table lists the keys the CLI accepts."""
 
 from __future__ import annotations
 
@@ -7,8 +8,17 @@ from pathlib import Path
 
 import pytest
 
+from urllckit import cli
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 BLOCKS = re.findall(r"^```python\n(.*?)^```$", README.read_text(), re.M | re.S)
+
+
+def test_readme_scenario_table_lists_the_schema():
+    # the MIMO scenario-key table names each key the CLI accepts, in order
+    section = README.read_text().split("### MIMO scenario files", 1)[1]
+    keys = re.findall(r"^\| `(\w+)` \|", section.split("\n## ", 1)[0], re.M)
+    assert keys == list(cli._MIMO_SCHEMA)
 
 
 def test_readme_has_python_blocks():

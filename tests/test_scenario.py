@@ -8,7 +8,6 @@ from urllckit.scenario import (
     Field,
     ScenarioError,
     apply_schema,
-    bool_field,
     choice_field,
     float_field,
     int_field,
@@ -57,14 +56,14 @@ _SCHEMA = {
     "scale": Field(float_field(0.0, strict=True), 1.0),
     "mode": Field(choice_field(("a", "b")), "a"),
     "pair": Field(list_field(float, 2), (0.0, 1.0)),
-    "flag": Field(bool_field(), False),
+    "offset": Field(int_field(0), 5),
 }
 
 
 def test_apply_schema_defaults_and_conversion():
-    cfg = apply_schema({"count": "7", "flag": "yes"}, _SCHEMA)
+    cfg = apply_schema({"count": "7", "offset": "0"}, _SCHEMA)
     assert cfg == {"count": 7, "scale": 1.0, "mode": "a",
-                   "pair": (0.0, 1.0), "flag": True}
+                   "pair": (0.0, 1.0), "offset": 0}
 
 
 def test_apply_schema_unknown_key():
@@ -123,12 +122,3 @@ def test_list_field_length_and_items():
     with pytest.raises(ValueError):
         list_field(int)("")
 
-
-def test_bool_field():
-    conv = bool_field()
-    for s in ("1", "true", "Yes", "ON"):
-        assert conv(s) is True
-    for s in ("0", "False", "no", "off"):
-        assert conv(s) is False
-    with pytest.raises(ValueError):
-        conv("maybe")

@@ -49,7 +49,7 @@ def loaded(tmp_path_factory):
                     "--out", str(out / "access.json")]),
         ("multiconn sweep", ["multiconn", "sweep", "--out", str(out / "mc.csv")]),
         ("framesync sweep", ["framesync", "sweep", "--nm-min", "8", "--nm-max", "10",
-                             "--trials", "1000", "--out", str(out / "fs.csv")]),
+                             "--out", str(out / "fs.csv")]),
         ("fbl sweep", ["fbl", "sweep", "--points", "2", "--out", str(out / "fbl.csv")]),
     ]
     env = dict(os.environ)
