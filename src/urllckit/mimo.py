@@ -138,17 +138,13 @@ _SCENARIO_TAG = 301
 _EVAL_TAG = 302
 
 _EVAL_BLOCK = 2048
-# complex elements of the projections a block holds at once: a block runs
-# in chunks of rows whose projections on every method's span fit in this
-# many, which changes no value, as every step is per row
-_PROJECT_ELEMENTS = 1 << 15
 # OpenBLAS runs a matrix-vector product on its thread pool from this many
 # matrix elements up (m * n >= 1024 * GEMM_MULTITHREAD_THRESHOLD)
 _GEMV_POOL = 4096
 # relative error up to which _top_singular keeps its Newton root, and the
 # most Newton steps it takes: every certified root seen took at most 15
 # (rich4 at most 8), while a tie converges only linearly and would keep its
-# whole chunk stepping; a row cut off goes to eigvalsh
+# whole block stepping; a row cut off goes to eigvalsh
 _TOP_EIG_RTOL = 1e-12
 _NEWTON_STEPS = 16
 
@@ -652,10 +648,11 @@ def evaluate(
     per-attempt PER, and slots multiply independent delivery opportunities
     (DEFAULT_ATTEMPTS_PER_SLOT: two per slot for methods that skip full
     CSI training).  Each block projects its path gains on every method's
-    span in one stacked product, in chunks of rows whose projections hold
-    _PROJECT_ELEMENTS values; terminal 1's gains are drawn only where the
-    estimation noise follows them in the stream.  The blocks run on the
-    calling thread, and no BLAS call starts a thread pool.
+    span in one stacked product, _EVAL_BLOCK x (map width) complex values
+    (1.0 MiB on the default geometry), and scores each method once on all
+    its rows; terminal 1's gains are drawn only where the estimation noise
+    follows them in the stream.  The blocks run on the calling thread, and
+    no BLAS call starts a thread pool.
     """
     methods = tuple(methods)
     if not methods:
@@ -699,12 +696,10 @@ def evaluate(
     maps = [_gain_map(paths, ctx.spans[m]) for m in methods]
     gain_map = np.concatenate(maps, axis=1)
     edges = np.cumsum([0] + [w.shape[1] for w in maps])
-    chunk = max(1, _PROJECT_ELEMENTS // gain_map.shape[1])
     n_rx = spec.rx_antennas
     noise_scale = np.full(ctx.spans["strongest_sv_inst"].shape[1],
                           estimation_noise_std / math.sqrt(2.0))
 
-    n_methods = len(methods)
     needs_inst_noise = estimation_noise_std > 0.0 and "strongest_sv_inst" in methods
 
     def block_fn(rng: np.random.Generator, start: int, count: int):
@@ -719,31 +714,27 @@ def evaluate(
             if spatial:
                 _complex_gaussian(rng, count, other_scale)
             est = _complex_gaussian(rng, count, noise_scale)
-        sinr = np.empty((count, n_methods))
-        for lo in range(0, count, chunk):
-            rows = slice(lo, lo + chunk)
-            g_all = _project(a1[rows], gain_map, 1)[:, 0]
-            est_rows = None if est is None else est[rows]
-            for col, method in enumerate(methods):
-                g1 = g_all[:, edges[col]:edges[col + 1]].reshape(
-                    g_all.shape[0], n_rx, -1)
-                if method in _MATCHED_RX:
-                    # the matched filter collects sigma_max^2 of g1: on the
-                    # dominant pair when coherent, ||g1||^2 for one column
-                    sig = _top_singular(g1)
-                else:
-                    # u_max's projection of the picked span column (the
-                    # strongest estimated one, or strongest_sv_av's only one)
-                    pick = (_strongest_column(ctx, g1, est_rows)
-                            if method == "strongest_sv_inst" else 0)
-                    # the picked columns copied into contiguous rows: np.sum
-                    # adds a contiguous axis in pairs and a strided one in
-                    # sequence, so the order would otherwise depend on d
-                    h = g1[np.arange(g1.shape[0]), :, pick]
-                    sig = np.abs(np.sum(ctx.u_max.conj() * h, axis=1)) ** 2
-                # the zero-forcing cross term H_0 @ span_1 is zero by
-                # construction, so no SINR carries an interference term
-                sinr[rows, col] = user_power * sig
+        g_all = _project(a1, gain_map, 1)[:, 0]
+        sinr = np.empty((count, len(methods)))
+        for col, method in enumerate(methods):
+            g1 = g_all[:, edges[col]:edges[col + 1]].reshape(count, n_rx, -1)
+            if method in _MATCHED_RX:
+                # the matched filter collects sigma_max^2 of g1: on the
+                # dominant pair when coherent, ||g1||^2 for one column
+                sig = _top_singular(g1)
+            else:
+                # u_max's projection of the picked span column (the
+                # strongest estimated one, or strongest_sv_av's only one)
+                pick = (_strongest_column(ctx, g1, est)
+                        if method == "strongest_sv_inst" else 0)
+                # the picked columns copied into contiguous rows: np.sum
+                # adds a contiguous axis in pairs and a strided one in
+                # sequence, so the order would otherwise depend on d
+                h = g1[np.arange(count), :, pick]
+                sig = np.abs(np.sum(ctx.u_max.conj() * h, axis=1)) ** 2
+            # the zero-forcing cross term H_0 @ span_1 is zero by
+            # construction, so no SINR carries an interference term
+            sinr[:, col] = user_power * sig
         return (sinr,)
 
     (sinr_all,) = collect_monte_carlo(mc.trials, _EVAL_BLOCK, mc.stream(_EVAL_TAG, 0),

@@ -187,9 +187,10 @@ def check_count(name: str, value, minimum: int = 1) -> int:
     """value as an int; ValueError naming it unless it is an integer >= minimum.
 
     Python and numpy integers pass.  Floats fail, integral ones such as 4.0
-    included, so a fractional count is never rounded or truncated silently.
+    included, so a fractional count is never rounded or truncated silently,
+    and so do booleans: True is not the count 1.
     """
-    if not isinstance(value, numbers.Integral) or value < minimum:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
         raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
     return int(value)
 

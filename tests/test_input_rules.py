@@ -27,8 +27,10 @@ def _draw_block(rng, start, count):
 
 
 def _count(label, name, call, k):
-    # a fractional and an integral float are both rejected; k itself passes
-    return pytest.param(name, call, k, (k + 0.5, float(k)), id=f"{label}-{name}")
+    # a fractional and an integral float are both rejected, and so is a
+    # boolean, though True == 1; k itself passes
+    return pytest.param(name, call, k, (k + 0.5, float(k), True, False),
+                        id=f"{label}-{name}")
 
 
 def _probability(label, name, call, valid, strict=False):

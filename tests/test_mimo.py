@@ -605,6 +605,25 @@ def test_evaluate_follows_the_stream_layout(geometry, multiplexing, std):
                                    rtol=1e-12, atol=0, err_msg=method)
 
 
+def test_evaluate_scores_each_block_once(monkeypatch):
+    # a block is the only unit of work: each matched-receiver method takes
+    # one _top_singular call over all of a block's rows, the partial last
+    # block included, however wide the methods' maps are
+    rows = []
+    top_singular = mimo._top_singular
+
+    def counted(g):
+        rows.append(g.shape[0])
+        return top_singular(g)
+
+    monkeypatch.setattr(mimo, "_top_singular", counted)
+    spec = random_cluster_spec(seed=1, **_EVAL_GEOMETRIES["rich4"])
+    block = mimo._EVAL_BLOCK
+    evaluate(spec, METHODS, 10.0, "space", MonteCarloConfig(2 * block + 700, 0))
+    assert len(mimo._MATCHED_RX) == 3
+    assert sorted(rows) == sorted(3 * [block, block, 700])
+
+
 def test_project_in_pieces_below_the_blas_pool():
     # a map of _GEMV_POOL elements or more is projected in column pieces;
     # the pieces join into the product of the whole map
