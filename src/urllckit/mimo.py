@@ -35,7 +35,17 @@ LAPACK call per row: the trace-scaled Gram matrix's power sums give its
 characteristic polynomial by Newton's identities, and a certified Newton
 iteration from the Wolkowicz-Styan upper bound finds the top root.  A row
 whose root the rounding bound cannot certify to 1e-12 relative (a tie or
-near-tie at the top, a zero or non-finite matrix) goes to eigvalsh.
+near-tie at the top, a zero or non-finite matrix) goes to eigvalsh.  The
+Gram matrices of sides 2 to 4, those of terminals with a few antennas,
+and their squares are built with the trial axis last: each of an array's
+at most 10 upper entries is summed elementwise over a block's rows,
+where a stacked product pays about 0.3 us for each small matrix however
+few multiply-adds it holds.  The gain shrinks as the factor widens: at
+side 4 with 20 paths evaluate took about 3-6% longer than with stacked
+products.  From side 5 up the stacked products stay.  Built elementwise,
+side 5 would also need A^3, which is no Gram matrix, to take about 5%
+off evaluate at 10 paths, and evaluate took about 10% longer at side 6
+with 12 paths and 32% at side 8 with 20.
 
 evaluate computes no cross interference.  The other terminal's span lies
 in the orthogonal complement of the observed terminal's transmit support,
@@ -48,8 +58,9 @@ Everything runs on the calling thread, BLAS included.  A block is a few
 milliseconds of small batched products and elementwise steps, too little
 to pay for a thread pool.  So the calls are shaped to stay below OpenBLAS's
 threading sizes (a thin SVD, stacked per-row products, covariances formed
-only when read): a call large enough for the pool leaves its idle thread
-spinning for a tenth of a second, which doubled the CPU time of a run.
+only when read), and the elementwise Gram matrices call no BLAS at all: a
+call large enough for the pool leaves its idle thread spinning for a tenth
+of a second, which doubled the CPU time of a run.
 A stacked product is a matrix-vector product per row, which OpenBLAS
 threads from 4096 matrix elements up, so a wider map goes in column
 pieces below that size.
@@ -446,35 +457,30 @@ def _top_singular(g: np.ndarray) -> np.ndarray:
     The top eigenvalue of all n x n Gram matrices at once, elementwise
     over the rows.  Scaled by its trace, a Gram matrix A has eigenvalues in
     [0, 1] summing to 1, so nothing below under- or overflows.  The power
-    sums p_k = tr(A^k), k <= n, come from the powers of A up to ceil(n/2)
-    (one stacked product for n <= 4), and Newton's identities turn them
-    into the characteristic polynomial P (_char_poly).  Its roots are all
-    real, so Newton's iteration started above the largest one, at the
-    Wolkowicz-Styan bound m + s sqrt(n - 1) (m and s^2 the mean and
-    variance of the eigenvalues), decreases monotonically to it; it stops
-    once no row decreases, or after _NEWTON_STEPS.  A row's root is kept
-    only if _certified; the others (ties, near-ties, rows cut off by the
-    step limit, zero or non-finite matrices) go to eigvalsh.
+    sums p_k = tr(A^k), k <= n, come from the powers of A up to ceil(n/2):
+    for n <= 4 from A and A^2 built elementwise with the trial axis last
+    (_trial_last_power_sums), else from stacked products
+    (_stacked_power_sums); n = 1 reads its one eigenvalue off.  Newton's
+    identities turn the sums into the characteristic polynomial P
+    (_char_poly).  Its roots are all real, so Newton's iteration started
+    above the largest one, at the Wolkowicz-Styan bound m + s sqrt(n - 1)
+    (m and s^2 the mean and variance of the eigenvalues), decreases
+    monotonically to it; it stops once no row decreases, or after
+    _NEWTON_STEPS.  A row's root is kept only if _certified; the others
+    (ties, near-ties, rows cut off by the step limit, zero or non-finite
+    matrices) go to eigvalsh.
     """
-    gh = g.conj().swapaxes(1, 2)
-    gram = g @ gh if g.shape[1] <= g.shape[2] else gh @ g
-    count, n = gram.shape[:2]
+    n = min(g.shape[1:])
     if n == 1:
-        return gram[:, 0, 0].real
-    trace = np.einsum("kii->k", gram).real
+        # the 1 x 1 Gram matrix is its own eigenvalue
+        return _stacked_gram(g)[:, 0, 0].real
+    # n <= 4 needs no power above A^2, which is A's own Gram matrix (see
+    # the module docstring for why the stacked products stay from 5 up)
+    power_sums = _trial_last_power_sums if n <= 4 else _stacked_power_sums
     # a zero or non-finite trace, or a step at a multiple root, leaves NaN
     # or inf in a row, which then fails the certificate
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        a = (gram.view(float) / trace[:, None, None]).view(complex)
-        powers = [a]
-        while len(powers) < (n + 1) // 2:
-            powers.append(powers[-1] @ a)
-        # tr(x y) = sum_ij x_ij conj(y_ij) for Hermitian y, over the real
-        # view of each power; p_k = tr(A^i A^(k-i)), 1 <= i, k - i <= ceil(n/2)
-        flat = [x.view(float).reshape(count, -1) for x in powers]
-        sums = [np.einsum("kii->k", a).real] + [
-            np.einsum("ki,ki->k", flat[(k + 1) // 2 - 1], flat[k // 2 - 1])
-            for k in range(2, n + 1)]
+        gram, trace, sums = power_sums(g)
         c, h = _char_poly(sums)
         mean = sums[0] / n
         lam = mean + math.sqrt(n - 1) * np.sqrt(
@@ -493,6 +499,80 @@ def _top_singular(g: np.ndarray) -> np.ndarray:
     if not ok.all():
         top[~ok] = np.linalg.eigvalsh(gram[~ok])[:, -1]
     return top
+
+
+def _stacked_gram(g: np.ndarray) -> np.ndarray:
+    """The smaller Gram matrix of each g, (count, n, n), by stacked products."""
+    gh = g.conj().swapaxes(1, 2)
+    return g @ gh if g.shape[1] <= g.shape[2] else gh @ g
+
+
+def _stacked_power_sums(g: np.ndarray):
+    """(gram, trace, [p_1, ..., p_n]) of g's n x n Gram matrices, gram
+    (count, n, n), with A = gram / trace and its powers from stacked
+    products."""
+    gram = _stacked_gram(g)
+    count, n = gram.shape[:2]
+    trace = np.einsum("kii->k", gram).real
+    a = (gram.view(float) / trace[:, None, None]).view(complex)
+    powers = [a]
+    while len(powers) < (n + 1) // 2:
+        powers.append(powers[-1] @ a)
+    # tr(x y) = sum_ij x_ij conj(y_ij) for Hermitian y, over the real
+    # view of each power; p_k = tr(A^i A^(k-i)), 1 <= i, k - i <= ceil(n/2)
+    flat = [x.view(float).reshape(count, -1) for x in powers]
+    sums = [np.einsum("kii->k", a).real] + [
+        np.einsum("ki,ki->k", flat[(k + 1) // 2 - 1], flat[k // 2 - 1])
+        for k in range(2, n + 1)]
+    return gram, trace, sums
+
+
+def _trial_last_power_sums(g: np.ndarray):
+    """(gram, trace, [p_1, ..., p_n]) as _stacked_power_sums gives them,
+    with gram, A and A^2 built with the trial axis last (_trial_last_gram).
+
+    g's n x m factors are copied into x (n, m, count), whose Gram matrix
+    x x^H is gram.  A is Hermitian, so A^2 = A A^H is A's Gram matrix;
+    for n <= 4 no higher power is needed.
+    """
+    x = (g.transpose(1, 2, 0) if g.shape[1] <= g.shape[2]
+         else g.conj().transpose(2, 1, 0)).copy()
+    gram = _trial_last_gram(x)
+    n = gram.shape[0]
+    trace = np.einsum("iik->k", gram).real
+    a = np.empty_like(gram)
+    np.divide(gram.real, trace, out=a.real)
+    np.divide(gram.imag, trace, out=a.imag)
+    powers = [a, _trial_last_gram(a)] if n > 2 else [a]
+    # tr(u v) = sum_il Re u_il Re v_il + Im u_il Im v_il for Hermitian v,
+    # with p_k = tr(A^i A^(k-i)) as in _stacked_power_sums
+    pairs = [(powers[(k + 1) // 2 - 1], powers[k // 2 - 1]) for k in range(2, n + 1)]
+    sums = [np.einsum("iik->k", a).real] + [
+        np.einsum("ilk,ilk->k", u.real, v.real) + np.einsum("ilk,ilk->k", u.imag, v.imag)
+        for u, v in pairs]
+    return gram.transpose(2, 0, 1), trace, sums
+
+
+def _trial_last_gram(x: np.ndarray) -> np.ndarray:
+    """x x^H for each trial, (n, m, count) -> (n, n, count).
+
+    Each of the n(n+1)/2 upper entries is summed elementwise over the
+    trials, one (count,) product per column; the lower ones are their
+    conjugates.  Only one row of x is conjugated at a time, so the working
+    set stays near x's own size.
+    """
+    n, m = x.shape[:2]
+    z = np.empty((n, n, x.shape[2]), dtype=complex)
+    for l in range(n):
+        c = x[l].conj()
+        for i in range(l + 1):
+            s = z[i, l]
+            np.multiply(x[i, 0], c[0], out=s)
+            for j in range(1, m):
+                s += x[i, j] * c[j]
+            if i < l:
+                np.conjugate(s, out=z[l, i])
+    return z
 
 
 def _char_poly(sums):

@@ -510,6 +510,8 @@ _EVAL_GEOMETRIES = {
     "rx2": dict(rx_antennas=2),
     "rich4": dict(rx_antennas=4, paths=4, spread_deg=1.0,
                   arrival_spread_deg=120.0, span_db=3.0),
+    # g is 4 x 10: a 4 x 4 Gram matrix of 100 elementwise products
+    "rx4-paths10": dict(rx_antennas=4),
 }
 
 
@@ -641,6 +643,7 @@ def test_project_in_pieces_below_the_blas_pool():
 @pytest.mark.parametrize("geometry, std", [
     pytest.param("rx1", 0.0, id="rx1"),
     pytest.param("rich4", 0.0, id="rich4"),
+    pytest.param("rx4-paths10", 0.0, id="rx4-paths10"),
     # the widest maps: 20 paths on 8 antennas, so the methods' maps hold
     # 20 x 496 elements together, more than two gemv pool sizes
     pytest.param("rx8-paths20", 0.5, id="rx8-paths20"),
@@ -735,6 +738,83 @@ def test_top_singular_matches_eigvalsh(shape, kind, gap_exp, scale_exp, count, s
         warnings.simplefilter("error", RuntimeWarning)
         got = mimo._top_singular(g)
     np.testing.assert_allclose(got, _gram_top(g), rtol=1e-12, atol=0.0)
+
+
+def _stacked_top_singular(g):
+    """_top_singular with the Gram matrices and their powers taken from
+    stacked products of the rows' matrices on every side: the reference on
+    both sides of the elementwise sides 2 to 4."""
+    gh = g.conj().swapaxes(1, 2)
+    gram = g @ gh if g.shape[1] <= g.shape[2] else gh @ g
+    count, n = gram.shape[:2]
+    if n == 1:
+        return gram[:, 0, 0].real
+    trace = np.einsum("kii->k", gram).real
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a = (gram.view(float) / trace[:, None, None]).view(complex)
+        powers = [a]
+        while len(powers) < (n + 1) // 2:
+            powers.append(powers[-1] @ a)
+        flat = [x.view(float).reshape(count, -1) for x in powers]
+        sums = [np.einsum("kii->k", a).real] + [
+            np.einsum("ki,ki->k", flat[(k + 1) // 2 - 1], flat[k // 2 - 1])
+            for k in range(2, n + 1)]
+        c, h = mimo._char_poly(sums)
+        mean = sums[0] / n
+        lam = mean + math.sqrt(n - 1) * np.sqrt(
+            np.maximum(sums[1] / n - mean * mean, 0.0))
+        for _ in range(mimo._NEWTON_STEPS):
+            p, dp = mimo._monic_horner(c, lam)
+            step = lam - p / dp
+            down = step < lam
+            if not down.any():
+                break
+            lam = np.where(down, step, lam)
+        else:
+            p, dp = mimo._monic_horner(c, lam)
+        ok = mimo._certified(h, sums[-1], lam, p, dp)
+    top = lam * trace
+    if not ok.all():
+        top[~ok] = np.linalg.eigvalsh(gram[~ok])[:, -1]
+    return top
+
+
+@pytest.mark.parametrize("shape", [
+    (1, 10), (4, 1), (5, 5), (5, 10), (12, 5), (6, 12), (7, 20), (8, 20), (20, 8),
+], ids=lambda shape: "%dx%d" % shape)
+def test_top_singular_keeps_stacked_products_off_the_elementwise_sides(shape):
+    # n = 1 reads its eigenvalue off, and from n = 5 up the Gram matrices
+    # are stacked products, as the reference takes them on every side: both
+    # are bit for bit the reference's, the eigvalsh rows of a tie included
+    n = min(shape)
+    assert n == 1 or n > 4
+    rng = np.random.default_rng(n)
+    z = rng.standard_normal((2, mimo._EVAL_BLOCK) + shape)
+    g = z[0] + 1j * z[1]
+    g[:6] = _with_singular_values([2.0, 2.0, 0.5][:n], shape, rng, 6)
+    assert np.array_equal(mimo._top_singular(g), _stacked_top_singular(g))
+
+
+@pytest.mark.parametrize("count", [1, 700, mimo._EVAL_BLOCK])
+@pytest.mark.parametrize("geometry", ["rich4", "rx2", "rx4-paths10", "rx4-paths20"])
+def test_top_singular_elementwise_sides_match_stacked_products(geometry, count):
+    # sides 2 to 4 build the Gram matrix and its square elementwise over
+    # the rows, rx4-paths20's wide 4 x 20 factors included; they sum in
+    # another order than the stacked products, so they agree with
+    # them to rounding.  The rows are the coherent methods' g of one block
+    # of evaluate's stream
+    geometries = {**_EVAL_GEOMETRIES, "rx4-paths20": dict(rx_antennas=4, paths=20)}
+    spec = random_cluster_spec(seed=1, **geometries[geometry])
+    ctx = mimo._PrecoderContext(covariance(spec, 0), covariance(spec, 1))
+    paths = mimo._steering_factors(spec, 0)
+    rng = SeededStream(4).derive(mimo._EVAL_TAG, 0).block_generator(0)
+    alpha = mimo._complex_gaussian(rng, count, np.sqrt(paths[2] / 2.0))
+    for method in ("interference_free", "all_sv_coh"):
+        g = mimo._project(alpha, mimo._gain_map(paths, ctx.spans[method]),
+                          spec.rx_antennas)
+        assert 2 <= min(g.shape[1:]) <= 4
+        np.testing.assert_allclose(mimo._top_singular(g), _stacked_top_singular(g),
+                                   rtol=1e-13, atol=0.0, err_msg=method)
 
 
 def test_top_singular_sends_only_degenerate_rows_to_eigvalsh(monkeypatch):
